@@ -145,8 +145,10 @@ pub struct BudgetExceeded {
     /// The configured cap (ideals, transitions, or stages; 0 for
     /// wall-clock deadlines, which have no count-shaped cap).
     pub cap: u64,
-    /// The count at abort (for [`BudgetPhase::Enumerate`] a lower bound on
-    /// the true lattice size; 0 for deadlines).
+    /// The count at abort; 0 for deadlines. For [`BudgetPhase::Enumerate`]
+    /// the lattice size: exact for SP graphs (saturated at
+    /// [`spg::IDEAL_COUNT_SATURATION`], i.e. "at least `2^53`"), a lower
+    /// bound otherwise.
     pub count: u64,
 }
 
@@ -154,7 +156,11 @@ impl std::fmt::Display for BudgetExceeded {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.phase {
             BudgetPhase::Enumerate => {
-                write!(f, "ideal lattice exceeds the cap of {} ideals", self.cap)
+                let overflow = spg::IdealError::LimitExceeded {
+                    cap: self.cap as usize,
+                    found: self.count as usize,
+                };
+                write!(f, "{overflow}")
             }
             BudgetPhase::Materialise => {
                 write!(f, "more than {} cluster transitions", self.cap)

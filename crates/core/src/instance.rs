@@ -86,10 +86,11 @@ impl SharedLattice {
     }
 }
 
-/// Cached lattice state: the cap the last enumeration ran with, and its
-/// outcome. A success with `len ≤ cap'` answers any request with cap ≥ len;
-/// a `LimitExceeded` at cap `c` answers any request with cap ≤ `c`.
-type LatticeSlot = Mutex<Option<(usize, Result<Arc<SharedLattice>, IdealError>)>>;
+/// Cached outcome of the last lattice enumeration. A success answers any
+/// cap: it fits a cap ≥ its length and proves a smaller one exceeded. A
+/// `LimitExceeded` answers any cap below its `found` (the exact lattice
+/// size for SP graphs, a lower bound otherwise).
+type LatticeSlot = Mutex<Option<Result<Arc<SharedLattice>, IdealError>>>;
 
 /// Cached `DPA1D` transition skeleton: the lattice it was built from (by
 /// pointer), the edge cap the build ran under, and the outcome. A success
@@ -254,11 +255,11 @@ impl Instance {
 
     /// The interned ideal lattice (plus cut volumes), enumerated under
     /// `cap`. Cached: a previous successful enumeration is reused whenever
-    /// it fits the requested cap, and a previous `LimitExceeded` at a cap
-    /// at least as large answers the request without re-enumerating.
+    /// it fits the requested cap, and a previous `LimitExceeded` whose
+    /// count exceeds the requested cap answers without re-enumerating.
     pub fn lattice(&self, cap: usize) -> Result<Arc<SharedLattice>, IdealError> {
         let mut slot = self.derived.lattice.lock().unwrap();
-        if let Some((cached_cap, res)) = slot.as_ref() {
+        if let Some(res) = slot.as_ref() {
             match res {
                 Ok(sh) if sh.lattice.len() <= cap => return Ok(Arc::clone(sh)),
                 // A cached success larger than the requested cap is itself
@@ -270,15 +271,17 @@ impl Instance {
                         found: sh.lattice.len(),
                     })
                 }
-                Err(e) if cap <= *cached_cap => return Err(e.clone()),
-                _ => {}
+                &Err(IdealError::LimitExceeded { found, .. }) if cap < found => {
+                    return Err(IdealError::LimitExceeded { cap, found })
+                }
+                Err(_) => {}
             }
         }
         let res = enumerate_ideals(&self.spg, cap).map(|lattice| {
             let cuts = lattice.iter().map(|s| self.spg.cut_volume(s)).collect();
             Arc::new(SharedLattice { lattice, cuts })
         });
-        *slot = Some((cap, res.clone()));
+        *slot = Some(res.clone());
         res
     }
 
@@ -437,8 +440,7 @@ impl Instance {
     /// cache harvests warm artifacts through this after a solve.
     pub fn cached_lattice(&self) -> Option<Arc<SharedLattice>> {
         let slot = self.derived.lattice.lock().unwrap();
-        slot.as_ref()
-            .and_then(|(_, res)| res.as_ref().ok().cloned())
+        slot.as_ref().and_then(|res| res.as_ref().ok().cloned())
     }
 
     /// Peeks at the cached *complete* transition skeleton without building
@@ -469,8 +471,7 @@ impl Instance {
     pub fn seed_lattice(&self, shared: Arc<SharedLattice>) {
         let mut slot = self.derived.lattice.lock().unwrap();
         if slot.is_none() {
-            let len = shared.lattice.len();
-            *slot = Some((len, Ok(shared)));
+            *slot = Some(Ok(shared));
         }
     }
 
@@ -655,12 +656,12 @@ impl Instance {
         let lattice = {
             let slot = self.derived.lattice.lock().unwrap();
             match slot.as_ref() {
-                Some((cap, Ok(sh))) if edit.changes_volumes() => {
+                Some(Ok(sh)) if edit.changes_volumes() => {
                     // Same structure, new per-ideal cut volumes — computed
                     // ideal by ideal exactly as a cold enumeration would.
                     let lattice = sh.lattice.clone();
                     let cuts = lattice.iter().map(|s| spg.cut_volume(s)).collect();
-                    Some((*cap, Ok(Arc::new(SharedLattice { lattice, cuts }))))
+                    Some(Ok(Arc::new(SharedLattice { lattice, cuts })))
                 }
                 // Weight retunes leave the lattice untouched; enumeration
                 // *failures* are structure-only proofs, valid either way.
@@ -732,7 +733,14 @@ mod tests {
         // repeat cap 2 must fail again (not reuse the success).
         let g = chain(&[1e6; 6], &[1e3; 5]);
         let inst = Instance::new(g, Platform::paper(2, 2), 1.0);
-        assert!(inst.lattice(3).is_err());
+        // The failure carries the exact size, so it answers any cap below
+        // it, each reported against its own cap.
+        for cap in [3, 5] {
+            assert!(matches!(
+                inst.lattice(cap),
+                Err(IdealError::LimitExceeded { cap: c, found: 7 }) if c == cap
+            ));
+        }
         let ok = inst.lattice(100).unwrap();
         assert_eq!(ok.lattice.len(), 7);
         // Success (7 ideals) also answers caps >= 7.

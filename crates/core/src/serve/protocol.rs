@@ -824,6 +824,27 @@ mod tests {
         let e = r.get("error").unwrap();
         assert_eq!(e.get("kind").and_then(Json::as_str), Some("too_expensive"));
         assert_eq!(e.get("phase").and_then(Json::as_str), Some("deadline"));
+        // A 60-wide fork-join holds 2^60 + 2 ideals; the count saturates
+        // at 2^53, so it survives the frame's f64 numbers exactly.
+        let branches: Vec<_> = (0..60).map(|_| spg::chain(&[1.0; 3], &[1.0; 2])).collect();
+        let g = spg::parallel_many(&branches);
+        let err = spg::enumerate_ideals(&g, 60_000).map(|_| ()).unwrap_err();
+        let f = crate::dpa1d::lattice_failure(&err);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &failure_response(&f)).unwrap();
+        let r = read_frame(&mut Cursor::new(buf)).unwrap().unwrap();
+        let e = r.get("error").unwrap();
+        assert_eq!(e.get("phase").and_then(Json::as_str), Some("enumerate"));
+        assert_eq!(e.get("cap").and_then(Json::as_f64), Some(60_000.0));
+        let count = e.get("count").and_then(Json::as_f64).unwrap();
+        assert_eq!(count as u64, spg::IDEAL_COUNT_SATURATION);
+        assert_eq!(
+            e.get("message").and_then(Json::as_str),
+            Some(
+                "budget exceeded: ideal lattice exceeds the cap of 60000 ideals \
+                 (at least 9007199254740992 counted)"
+            )
+        );
         let f = Failure::NoValidMapping("tight".into());
         let e2 = failure_response(&f);
         assert_eq!(

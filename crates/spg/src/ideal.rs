@@ -19,10 +19,14 @@
 //! Enumeration is a BFS over the ideal lattice with a hard cap: exceeding the
 //! cap aborts with [`IdealError::LimitExceeded`], which `DPA1D` surfaces as a
 //! heuristic failure (the paper observes exactly this on the high-elevation
-//! StreamIt workflows).
+//! StreamIt workflows). For an SP graph the lattice size is known before the
+//! BFS starts — the series/parallel reduction of [`crate::recognize()`] counts
+//! it exactly — so an over-cap lattice is rejected without enumerating a
+//! single ideal.
 
 use crate::graph::{Spg, StageId};
 use crate::nodeset::{NodeSet, NodeSetRef};
+use crate::recognize::{recognize, IDEAL_COUNT_SATURATION};
 use crate::wire;
 
 /// Why ideal enumeration failed.
@@ -33,20 +37,29 @@ pub enum IdealError {
     LimitExceeded {
         /// The cap that was exceeded.
         cap: usize,
-        /// Ideal count observed at abort (a lower bound on the true lattice
-        /// size when enumeration stopped early; the exact size when a
-        /// completed enumeration merely exceeds a smaller requested cap).
+        /// The lattice size: exact for SP graphs (counted by the
+        /// series/parallel reduction, saturated at
+        /// [`IDEAL_COUNT_SATURATION`]), a lower bound otherwise (the count
+        /// at which streamed enumeration stopped).
         found: usize,
     },
 }
 
+/// "ideal lattice exceeds the cap of `cap` ideals (`found` counted)". The
+/// message holds whether `found` is the exact size or the point where a
+/// streamed enumeration stopped; a saturated count reads "at least".
 impl std::fmt::Display for IdealError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IdealError::LimitExceeded { cap, .. } => {
-                write!(f, "ideal lattice exceeds the cap of {cap} ideals")
-            }
-        }
+        let IdealError::LimitExceeded { cap, found } = *self;
+        let bound = if found as u64 >= IDEAL_COUNT_SATURATION {
+            "at least "
+        } else {
+            ""
+        };
+        write!(
+            f,
+            "ideal lattice exceeds the cap of {cap} ideals ({bound}{found} counted)"
+        )
     }
 }
 
@@ -327,7 +340,7 @@ impl IdealLattice {
             return Err("arena length is not a multiple of the word stride".into());
         }
         let len = arena.len() / wps;
-        if !buckets.len().is_power_of_two() || buckets.len() * 3 < (len + 1) * 4 {
+        if !buckets.len().is_power_of_two() || buckets.len() * 3 < len * 4 {
             return Err("bucket table is not a valid open-addressing table".into());
         }
         if buckets.iter().any(|&b| b as usize > len) {
@@ -402,8 +415,17 @@ pub fn ready_stages(spg: &Spg, ideal: NodeSetRef<'_>) -> Vec<StageId> {
 /// `O(Σ covers)` instead of `O(#ideals · n)` mask scans, and works on one
 /// scratch set — the only allocations are the arena pushes for genuinely
 /// new ideals.
+///
+/// The cap is checked before the BFS when the graph is series-parallel:
+/// [`recognize`] counts its ideals exactly in `O(n log n)`, so an over-cap
+/// lattice fails at once with that count as `found`. Other graphs stream
+/// the check and abort at the first ideal past the cap.
 pub fn enumerate_ideals(spg: &Spg, cap: usize) -> Result<IdealLattice, IdealError> {
     let n = spg.n();
+    let exact = recognize(spg).ideals.map(|count| count as usize);
+    if let Some(found) = exact.filter(|&count| count > cap) {
+        return Err(IdealError::LimitExceeded { cap, found });
+    }
     let mut lat = IdealLattice::with_capacity(n, spg.predecessor_masks());
     let mut scratch = NodeSet::new(n);
     lat.intern(scratch.as_set());
@@ -453,6 +475,7 @@ pub fn enumerate_ideals(spg: &Spg, cap: usize) -> Result<IdealLattice, IdealErro
         }
         i += 1;
     }
+    debug_assert!(exact.is_none_or(|count| count == lat.len()));
     Ok(lat)
 }
 
@@ -524,13 +547,52 @@ mod tests {
 
     #[test]
     fn cap_is_enforced() {
-        // Elevation-8 fork-join has far more than 50 ideals.
-        let branches: Vec<Spg> = (0..8).map(|_| uniform_chain(5)).collect();
-        let g = parallel_many(&branches);
-        match enumerate_ideals(&g, 50) {
-            Err(IdealError::LimitExceeded { cap: 50, found }) if found > 50 => {}
-            other => panic!("expected LimitExceeded, got {:?}", other.map(|l| l.len())),
+        // Fork-joins of `k` branches with `inner` stages each hold
+        // (inner + 1)^k + 2 ideals, and the count path reports exactly that
+        // many rather than the cap + 1 a streamed enumeration stops at:
+        // one of exactly cap + 1 ideals, elevation 8, and 60 branches whose
+        // 2^60 + 2 ideals saturate at 2^53, the largest JSON-exact integer.
+        for (k, inner, cap, found, msg) in [
+            (
+                2,
+                1,
+                5,
+                6,
+                "ideal lattice exceeds the cap of 5 ideals (6 counted)",
+            ),
+            (
+                8,
+                3,
+                50,
+                4usize.pow(8) + 2,
+                "ideal lattice exceeds the cap of 50 ideals (65538 counted)",
+            ),
+            (
+                60,
+                1,
+                60_000,
+                1 << 53,
+                "ideal lattice exceeds the cap of 60000 ideals \
+                 (at least 9007199254740992 counted)",
+            ),
+        ] {
+            let branches: Vec<Spg> = (0..k).map(|_| uniform_chain(inner + 2)).collect();
+            let err = enumerate_ideals(&parallel_many(&branches), cap)
+                .map(|l| l.len())
+                .unwrap_err();
+            assert_eq!(err, IdealError::LimitExceeded { cap, found });
+            assert_eq!(err.to_string(), msg);
         }
+    }
+
+    #[test]
+    fn full_load_lattices_round_trip() {
+        // 48 ideals fill 64 buckets to exactly 3/4: a valid table that the
+        // decoder must accept.
+        let lat = enumerate_ideals(&uniform_chain(47), 1000).unwrap();
+        assert_eq!((lat.len(), lat.buckets.len()), (48, 64));
+        let back = IdealLattice::from_bytes(&lat.to_bytes()).unwrap();
+        assert_eq!(back.to_bytes(), lat.to_bytes());
     }
 
     #[test]

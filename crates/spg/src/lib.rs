@@ -17,7 +17,9 @@
 //! * [`Spg`] — the graph itself, plus [`compose`] (series/parallel with the
 //!   paper's label rules) and structural queries;
 //! * [`ideal`] — enumeration of *admissible subgraphs* (order ideals), the
-//!   state space of the `DPA1D` dynamic program (paper Theorem 1);
+//!   state space of the `DPA1D` dynamic program (paper Theorem 1), and
+//!   [`recognize`](mod@recognize) — SP recognition, which also counts the
+//!   ideals exactly;
 //! * [`generate`] — random SPGs with exact size and elevation (paper
 //!   §6.2.2), plus the seeded workload *families*
 //!   ([`generate::families`]) the campaign engine sweeps;
@@ -44,5 +46,5 @@ pub use generate::{
 pub use graph::{EdgeId, Label, Spg, SpgEdge, StageId};
 pub use ideal::{enumerate_ideals, IdealError, IdealId, IdealLattice};
 pub use nodeset::{NodeSet, NodeSetRef};
-pub use recognize::{recognize, recognize_edges, SpRecognition};
+pub use recognize::{recognize, recognize_edges, SpRecognition, IDEAL_COUNT_SATURATION};
 pub use streamit::{streamit_suite, streamit_workflow, StreamItSpec, STREAMIT_SPECS};

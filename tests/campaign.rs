@@ -334,35 +334,44 @@ fn budget_failures_record_structured_telemetry() {
     // is the paper's §6.2.1 cost wall; at campaign scale the wall shows up
     // as enumerate-phase budget records with cap and count — the fields
     // the elevation-vs-cost plot reads straight from the JSONL.
-    let mut spec = test_spec();
-    spec.name = "wall".into();
-    spec.families = vec![FamilyKind::WideForkJoin];
-    spec.sizes = vec![40];
-    spec.width = 12;
-    spec.depth = 1;
-    spec.topologies = vec![TopologyKind::Mesh];
-    spec.solvers = vec!["dpa1d".into()];
-    let dir = scratch("wall");
-    let out = run_campaign(&spec, &dir, Shard::default()).unwrap();
-    let budget_recs: Vec<_> = out
-        .records
-        .iter()
-        .filter(|r| r.fail_phase.is_some())
-        .collect();
-    assert!(
-        !budget_recs.is_empty(),
-        "a 12-wide fork-join must blow DPA1D's ideal cap"
-    );
-    for rec in budget_recs {
-        assert_eq!(rec.fail_phase.as_deref(), Some("enumerate"));
-        assert_eq!(rec.fail_cap, Some(60_000));
-        assert!(rec.fail_count.unwrap() > 60_000);
-        // The structured fields survive the JSONL round trip.
-        let parsed = JobRecord::parse(&rec.canonical_line()).unwrap();
-        assert_eq!(parsed.fail_cap, rec.fail_cap);
-        assert_eq!(parsed.fail_count, rec.fail_count);
+    //
+    // The counts are exact lattice sizes. A 60-wide fork-join of 62 stages
+    // (one inner stage per branch) holds 2^60 + 2 ideals, which saturates
+    // at 2^53: the largest count the JSONL's f64 numbers carry exactly.
+    for (size, width, exact) in [(40, 12, None), (62, 60, Some(1u64 << 53))] {
+        let mut spec = test_spec();
+        spec.name = "wall".into();
+        spec.families = vec![FamilyKind::WideForkJoin];
+        spec.sizes = vec![size];
+        spec.width = width;
+        spec.depth = 1;
+        spec.topologies = vec![TopologyKind::Mesh];
+        spec.solvers = vec!["dpa1d".into()];
+        let dir = scratch("wall");
+        let out = run_campaign(&spec, &dir, Shard::default()).unwrap();
+        let budget_recs: Vec<_> = out
+            .records
+            .iter()
+            .filter(|r| r.fail_phase.is_some())
+            .collect();
+        assert!(
+            !budget_recs.is_empty(),
+            "a {width}-wide fork-join must blow DPA1D's ideal cap"
+        );
+        for rec in budget_recs {
+            assert_eq!(rec.fail_phase.as_deref(), Some("enumerate"));
+            assert_eq!(rec.fail_cap, Some(60_000));
+            assert!(rec.fail_count.unwrap() > 60_000);
+            if let Some(exact) = exact {
+                assert_eq!(rec.fail_count, Some(exact));
+            }
+            // The structured fields survive the JSONL round trip exactly.
+            let parsed = JobRecord::parse(&rec.canonical_line()).unwrap();
+            assert_eq!(parsed.fail_cap, rec.fail_cap);
+            assert_eq!(parsed.fail_count, rec.fail_count);
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

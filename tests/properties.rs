@@ -6,8 +6,8 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use spg::ideal::{enumerate_ideals, is_ideal, ready_stages};
-use spg::{NodeSet, Spg};
+use spg::ideal::{enumerate_ideals, is_ideal, ready_stages, IdealError};
+use spg::{streamit_workflow, NodeSet, Spg, STREAMIT_SPECS};
 use spg_cmp::prelude::*;
 
 const CASES: u64 = 48;
@@ -63,9 +63,17 @@ fn ideal_lattice_properties() {
     for case in 0..CASES {
         let g = arb_spg(case);
         let cap = 20_000usize;
-        let Ok(lat) = enumerate_ideals(&g, cap) else {
-            continue;
+        // The SP reduction counts the lattice exactly, whether or not it
+        // fits the cap.
+        let count = spg::recognize(&g).ideals;
+        let lat = match enumerate_ideals(&g, cap) {
+            Ok(lat) => lat,
+            Err(IdealError::LimitExceeded { found, .. }) => {
+                assert_eq!(count, Some(found as u64), "case {case}");
+                continue;
+            }
         };
+        assert_eq!(count, Some(lat.len() as u64), "case {case}");
         // Theorem 1's bound (loose, but must hold).
         let bound = (g.n() as f64).powi(g.elevation() as i32) + 2.0;
         assert!(
@@ -122,7 +130,56 @@ fn interned_lattice_matches_naive_reference() {
             "case {case}: duplicate ideals in the arena"
         );
         assert_eq!(interned, naive_ideals(&g), "case {case}");
+        assert_eq!(
+            spg::recognize(&g).ideals,
+            Some(lat.len() as u64),
+            "case {case}"
+        );
     }
+}
+
+/// The SP reduction's ideal count equals the enumerated lattice size on
+/// every StreamIt flow that fits `DPA1D`'s default cap, and is what the
+/// over-cap flows report as their size.
+#[test]
+fn streamit_ideal_counts_match_enumeration() {
+    let mut fitted = 0;
+    for spec in &STREAMIT_SPECS {
+        for seed in 0..5 {
+            let g = streamit_workflow(spec, seed);
+            let count = spg::recognize(&g).ideals.expect("StreamIt flows are SP");
+            match enumerate_ideals(&g, 60_000) {
+                Ok(lat) => {
+                    assert_eq!(count, lat.len() as u64, "{} seed {seed}", spec.name);
+                    fitted += 1;
+                }
+                Err(IdealError::LimitExceeded { found, .. }) => {
+                    assert_eq!(count, found as u64, "{} seed {seed}", spec.name)
+                }
+            }
+        }
+    }
+    assert_eq!(fitted, 35, "7 flows x 5 seeds fit the cap");
+}
+
+/// The overflow flows fail from the count, not from a streamed abort at
+/// `cap + 1`: Vocoder's lattice holds ~1.2e14 ideals.
+#[test]
+fn overflow_flows_report_their_exact_lattice_size() {
+    let spec = STREAMIT_SPECS.iter().find(|s| s.name == "Vocoder").unwrap();
+    let inst = Instance::for_utilisation(streamit_workflow(spec, 0), Platform::paper(4, 4), 0.5);
+    let err = inst.lattice(60_000).map(|sh| sh.lattice.len()).unwrap_err();
+    assert_eq!(
+        err,
+        IdealError::LimitExceeded {
+            cap: 60_000,
+            found: 119_035_165_261_826
+        }
+    );
+    assert_eq!(
+        err.to_string(),
+        "ideal lattice exceeds the cap of 60000 ideals (119035165261826 counted)"
+    );
 }
 
 /// CCR rescaling hits the target exactly and leaves weights untouched.

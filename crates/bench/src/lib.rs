@@ -33,7 +33,6 @@ pub mod bench_check;
 pub mod campaign;
 pub mod exact_xp;
 pub mod incremental_xp;
-pub mod json;
 pub mod pool_xp;
 pub mod probe;
 pub mod prune_xp;

@@ -73,43 +73,6 @@ pub fn best_energy(outcomes: &[SolverOutcome]) -> Option<f64> {
         .min_by(|a, b| a.total_cmp(b))
 }
 
-/// Legacy per-heuristic outcome, kept for the deprecated
-/// [`run_all_heuristics`] shim.
-#[doc(hidden)]
-#[deprecated(since = "0.2.0", note = "use `SolverOutcome` via `run_portfolio`")]
-#[derive(Debug, Clone)]
-pub struct HeuristicOutcome {
-    /// Which heuristic ran.
-    pub kind: ea_core::HeuristicKind,
-    /// Its energy, or the failure reason.
-    pub result: Result<f64, Failure>,
-}
-
-/// Runs all five heuristics at the given period; legacy shim preserving the
-/// pre-0.2 behaviour (every heuristic receives `seed` unmixed).
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "build an `Instance` and use `run_portfolio` (or `ea_core::Portfolio`) instead"
-)]
-#[allow(deprecated)]
-pub fn run_all_heuristics(
-    spg: &spg::Spg,
-    pf: &cmp_platform::Platform,
-    period: f64,
-    seed: u64,
-) -> Vec<HeuristicOutcome> {
-    let inst = Instance::new(spg.clone(), pf.clone(), period);
-    let ctx = ea_core::SolveCtx::new(seed);
-    ea_core::ALL_HEURISTICS
-        .iter()
-        .map(|&kind| HeuristicOutcome {
-            kind,
-            result: kind.solver().solve(&inst, &ctx).map(|s| s.energy()),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

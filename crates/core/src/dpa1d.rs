@@ -14,12 +14,16 @@
 //! link between cores `k` and `k+1` is exactly the cut volume of the ideal
 //! covering the first `k` clusters.
 //!
-//! Implementation: the ideal lattice is enumerated once (capped — a cap hit
-//! is a heuristic *failure*, mirroring the paper's observation that `DPA1D`
-//! cannot handle the high-elevation StreamIt graphs); every `(ideal,
-//! extended ideal)` cluster transition is materialised (also capped); a
-//! relaxation over at most `r` cluster-count layers then finds the optimum,
-//! and the cluster chain is laid along the snake.
+//! Implementation: the ideal lattice is enumerated once per instance
+//! (capped — a cap hit is a heuristic *failure*, mirroring the paper's
+//! observation that `DPA1D` cannot handle the high-elevation StreamIt
+//! graphs). The `(ideal, extended ideal)` cluster transitions then come
+//! from one of two producers: the cached [`TransitionSkeleton`] (below),
+//! or — for a period no skeleton serves — a fresh per-period walk of the
+//! extension DFS that relaxes each transition as it is produced and stores
+//! none. Both feed the same single-pass relaxation over at most `r`
+//! cluster-count slots per ideal, and the optimal cluster chain is laid
+//! along the snake.
 //!
 //! ## The period-sweep split
 //!
@@ -49,7 +53,7 @@
 
 use cmp_mapping::{Mapping, RouteSpec, REL_TOL};
 use cmp_platform::{snake_core, CoreId, Platform, RouteTable};
-use spg::ideal::{enumerate_ideals, IdealError, IdealId, IdealLattice};
+use spg::ideal::{IdealError, IdealId, IdealLattice};
 use spg::{NodeSet, Spg, StageId};
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -57,34 +61,32 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use crate::common::{validated_with, BudgetPhase, Failure, PruneStats, Solution};
 use crate::instance::SharedLattice;
 
+/// Minimum number of in-edges in a cardinality level for that level of the
+/// skeleton relaxation to fan out over rayon; narrower levels run inline,
+/// so small instances never regress. Dispatching a fan-out on the
+/// persistent work-stealing pool costs on the order of a microsecond, so
+/// the break-even is set by the real work — the by-destination layered
+/// form trades the sequential sweep's linear streaming for transposed
+/// random access, which a few worker threads repay once a level carries
+/// roughly ten thousand in-edges (measured on the StreamIt-scale
+/// skeletons; see `BENCH_pool.json` for the dispatch numbers behind it).
+/// Only the skeleton path parallelises — the fresh walk is always
+/// sequential — and a 1-worker pool keeps the sequential order outright.
+const RELAX_PAR_THRESHOLD: usize = 10_000;
+
 /// Complexity budgets for `DPA1D`.
 #[derive(Debug, Clone)]
 pub struct Dpa1dConfig {
     /// Maximum number of order ideals to enumerate before failing.
     pub ideal_cap: usize,
-    /// Maximum number of materialised cluster transitions before failing.
+    /// Maximum number of cluster transitions a cached
+    /// [`TransitionSkeleton`] may hold. With the dominance layer off it
+    /// also caps the transitions a single solve admits (see
+    /// [`Dpa1dConfig::dominance`]).
     pub edge_cap: usize,
-    /// Minimum number of in-edges in a cardinality level for that level of
-    /// the relaxation to fan out over rayon; narrower levels run inline,
-    /// so small instances never regress. The vendored rayon shim now runs
-    /// a persistent work-stealing pool (dispatching a fan-out costs on the
-    /// order of a microsecond, versus a quarter millisecond of scoped
-    /// thread spawns before), so the break-even is set by the real work —
-    /// the by-destination layered form trades the sequential sweep's
-    /// linear streaming for transposed random access, which a few worker
-    /// threads repay once a level carries roughly ten thousand in-edges
-    /// (measured on the StreamIt-scale skeletons; see `BENCH_pool.json`
-    /// for the dispatch numbers behind it). Mid-size instances that the
-    /// old thread-spawn shim priced out of parallelism (the former default
-    /// sat at a million) now engage the pool. Only the skeleton path
-    /// parallelises — the fallback materialisation path is always
-    /// sequential — and a 1-worker pool keeps the sequential order
-    /// outright. (Tests force either order by setting this to 0 or
-    /// `usize::MAX`; the results are bit-identical.)
-    pub relax_par_threshold: usize,
-    /// Enables the dominance state-reduction layer (new in 0.8; `true` by
-    /// default — set `false` to reproduce 0.7 semantics exactly, see the
-    /// README migration note). Two effects:
+    /// Enables the dominance state-reduction layer (`true` by default —
+    /// set `false` to reproduce the pre-dominance semantics exactly). Two
+    /// effects:
     ///
     /// 1. **Dominance pruning.** Once an ideal's DP row is final, every
     ///    state strictly dominated within the row's Pareto frontier over
@@ -98,13 +100,12 @@ pub struct Dpa1dConfig {
     ///    tighter relaxation window per source row (often one slot instead
     ///    of the full cluster-count range).
     /// 2. **The edge cap becomes a soundness-preserving bound.** With the
-    ///    layer on, `edge_cap` bounds only *materialised* structures (the
-    ///    cached skeleton and per-period transition arrays). An admitted
-    ///    set that overflows the cap no longer fails with `TooExpensive`:
-    ///    the skeleton path streams the admission scan over the prebuilt
-    ///    index, and the materialisation path falls back to a fused
-    ///    DFS+relax sweep that stores no transitions at all — same
-    ///    candidate order, bit-identical result, bounded memory.
+    ///    layer on, `edge_cap` bounds only the cached skeleton. An admitted
+    ///    set past the cap is time, not a failure: the skeleton path
+    ///    streams the admission scan over the prebuilt index, and the
+    ///    fresh per-period walk stores no transitions at all. With the
+    ///    layer off, a solve whose admitted set exceeds `edge_cap` fails
+    ///    with a `Materialise` budget failure, on either producer.
     pub dominance: bool,
     /// Upper bound on the per-ideal Pareto frontier kept by the dominance
     /// layer (`usize::MAX` = unbounded, the default; values below 1 are
@@ -123,7 +124,6 @@ impl Default for Dpa1dConfig {
         Dpa1dConfig {
             ideal_cap: 60_000,
             edge_cap: 1_000_000,
-            relax_par_threshold: 10_000,
             dominance: true,
             frontier_cap: usize::MAX,
         }
@@ -137,35 +137,6 @@ pub(crate) fn lattice_failure(e: &IdealError) -> Failure {
             Failure::budget(BudgetPhase::Enumerate, *cap, *found)
         }
     }
-}
-
-/// Materialised DP transitions in struct-of-arrays layout: entry `t`
-/// extends its block's source ideal to ideal `to[t]` by one cluster of
-/// compute energy `ecal[t]`. Transitions are grouped into per-source
-/// [`TransitionBlock`]s, so the source id is not repeated per edge and the
-/// relaxation loops hoist everything that depends only on it (the split
-/// arrays also keep the 16-fold layered sweep lean on memory bandwidth).
-/// Ideals are referenced by their dense interned [`IdealId`] — the DP
-/// never touches an owned `NodeSet`.
-#[derive(Default)]
-struct Transitions {
-    to: Vec<IdealId>,
-    ecal: Vec<f64>,
-}
-
-impl Transitions {
-    fn len(&self) -> usize {
-        self.to.len()
-    }
-}
-
-/// All transitions out of one ideal: a contiguous range of [`Transitions`].
-struct TransitionBlock {
-    from: IdealId,
-    /// Hop energy paid on the uni-line link entering the next cluster
-    /// (0 for the empty ideal, which has no predecessor link).
-    hop: f64,
-    range: std::ops::Range<u32>,
 }
 
 /// One source ideal's block of skeleton transitions, with the
@@ -192,7 +163,7 @@ impl SkeletonBlock {
     /// given thresholds. Single-sourced on purpose: the admitted-count
     /// pass, the sequential sweep, and the parallel relaxation must filter
     /// the *same* block set or the edge-cap check and the bit-identity
-    /// contract with fresh per-period materialisation silently break.
+    /// contract with the fresh per-period walk silently break.
     #[inline]
     fn admissible(&self, adm: &Admission) -> bool {
         (self.from.idx() == 0 || self.cut <= adm.bw_cap) && self.wmin <= adm.cap_work
@@ -241,7 +212,7 @@ pub struct TransitionSkeleton {
     /// so a build capped at the ceiling's work threshold contains *every*
     /// transition any period `T ≤ ceiling` admits, in the same DFS order —
     /// the admission pass at such a `T` is bit-identical to one over the
-    /// complete skeleton (and to fresh materialisation at `T`).
+    /// complete skeleton (and to the fresh walk at `T`).
     period_ceiling: f64,
 }
 
@@ -300,7 +271,7 @@ impl TransitionSkeleton {
     }
 
     /// Whether an admission pass at `period` over this skeleton is exact —
-    /// i.e. bit-identical to fresh per-period materialisation. True for
+    /// i.e. bit-identical to the fresh per-period walk. True for
     /// every period of a complete build, and for `period ≤ ceiling` of a
     /// bounded one.
     pub fn serves(&self, period: f64) -> bool {
@@ -403,7 +374,7 @@ impl TransitionSkeleton {
             return Err("transposed index disagrees with the transition count".into());
         }
         if in_idx.iter().any(|&i| i as usize >= n_tr)
-            || in_block.iter().any(|&b| b as usize >= blocks.len().max(1))
+            || in_block.iter().any(|&b| b as usize >= blocks.len())
         {
             return Err("transposed entry references an out-of-range transition".into());
         }
@@ -468,14 +439,14 @@ impl TransitionSkeleton {
         n
     }
 
-    /// Whether a fresh materialisation at this period would have created
-    /// this source block at all: admissible cut AND at least one
-    /// work-feasible out-transition. This is the dominance layer's gate
-    /// for pruning the source row — fresh materialisation only ever
-    /// prunes rows whose block exists, and the telemetry pins parity
-    /// with it bit for bit. The scan short-circuits on the first
-    /// feasible transition (DFS emits single-stage extensions first, so
-    /// it is almost always the very first element).
+    /// Whether this source block admits any transition at this period:
+    /// admissible cut AND at least one work-feasible out-transition. This
+    /// is the parallel order's gate for pruning the source row — the
+    /// sequential producers prune a row exactly when its first admitted
+    /// transition arrives, and the telemetry pins parity between the
+    /// orders bit for bit. The scan short-circuits on the first feasible
+    /// transition (DFS emits single-stage extensions first, so it is
+    /// almost always the very first element).
     fn block_live(&self, b: &SkeletonBlock, adm: &Admission, ec: &EcalTable) -> bool {
         b.admissible(adm)
             && self.work[b.range.start as usize..b.range.end as usize]
@@ -487,7 +458,7 @@ impl TransitionSkeleton {
     /// (`period_ceiling = INFINITY`) or bounded by a work-ceiling period.
     /// Fails (with the materialise-phase budget payload) when the built set
     /// exceeds `edge_cap` — the caller falls back to a tighter ceiling or
-    /// to per-period materialisation.
+    /// to the fresh per-period walk.
     fn build(
         spg: &Spg,
         pf: &Platform,
@@ -699,44 +670,33 @@ impl EcalTable {
     }
 }
 
-/// Runs `DPA1D` on the snake embedding of `pf`.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ea_core::solvers::Dpa1d` with an `Instance` (shares the interned lattice across calls)"
-)]
-pub fn dpa1d(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    cfg: &Dpa1dConfig,
-) -> Result<Solution, Failure> {
-    dpa1d_run(spg, pf, period, cfg, None, None, None)
-}
-
-/// `DPA1D` on optionally pre-computed session caches. `None` everywhere
-/// enumerates locally (legacy behaviour); the [`crate::solvers::Dpa1d`]
-/// solver passes the instance's cached [`SharedLattice`], its
-/// [`TransitionSkeleton`] (when the complete transition system fit the
-/// edge cap), and the snake route table.
+/// `DPA1D` on an instance's shared caches: the interned lattice with its
+/// cut volumes, the [`TransitionSkeleton`] when one serves `period`, and
+/// the snake route table. Any period no skeleton serves runs the fresh
+/// per-period walk instead.
 pub(crate) fn dpa1d_run(
     spg: &Spg,
     pf: &Platform,
     period: f64,
     cfg: &Dpa1dConfig,
-    shared: Option<&SharedLattice>,
+    shared: &SharedLattice,
     skeleton: Option<&TransitionSkeleton>,
-    table: Option<&RouteTable>,
+    table: &RouteTable,
 ) -> Result<Solution, Failure> {
-    let (chain, prune) = match (shared, skeleton) {
+    let (chain, prune) = match skeleton {
         // A bounded skeleton is only exact up to its ceiling; a request
         // beyond it (defensive — the `Instance` cache hands out serving
-        // skeletons only) falls back to per-period materialisation.
-        (Some(sh), Some(sk)) if sk.serves(period) => {
-            solve_chain_skeleton(spg, pf, period, cfg, &sh.lattice, sk)?
-        }
-        (Some(sh), _) => solve_chain_on(spg, pf, period, cfg, &sh.lattice, &sh.cuts)?,
-        _ => solve_chain(spg, pf, period, cfg)?,
+        // skeletons only) falls back to the fresh walk.
+        Some(sk) if sk.serves(period) => solve_chain_skeleton(
+            spg,
+            pf,
+            period,
+            cfg,
+            &shared.lattice,
+            sk,
+            RELAX_PAR_THRESHOLD,
+        )?,
+        _ => solve_chain_fresh(spg, pf, period, cfg, shared)?,
     };
     let mut sol = build_snake_solution(spg, pf, period, &chain, table)?;
     sol.prune = prune;
@@ -746,25 +706,6 @@ pub(crate) fn dpa1d_run(
 /// A solved cluster chain together with the dominance layer's telemetry
 /// (`None` when `cfg.dominance` is off).
 pub(crate) type ChainSolve = (Vec<Vec<StageId>>, Option<PruneStats>);
-
-/// The optimal chain of clusters (at most `pf.n_cores()` of them) for the
-/// uni-directional uni-line configuration, enumerating the lattice locally.
-/// Exposed crate-internally for cross-checks.
-pub(crate) fn solve_chain(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    cfg: &Dpa1dConfig,
-) -> Result<ChainSolve, Failure> {
-    let lattice = enumerate_ideals(spg, cfg.ideal_cap).map_err(|e| lattice_failure(&e))?;
-    // Per-ideal cut volumes (traffic on the uni-line link right after the
-    // ideal). An ideal whose cut exceeds the bandwidth-period product can
-    // never be a cluster boundary (its outgoing link is overloaded), so its
-    // extensions are not even materialised; feasible cuts precompute their
-    // hop energy in `materialize_transitions`.
-    let cuts: Vec<f64> = lattice.iter().map(|s| spg.cut_volume(s)).collect();
-    solve_chain_on(spg, pf, period, cfg, &lattice, &cuts)
-}
 
 /// Per-period admission thresholds (both monotone in the period).
 struct Admission {
@@ -985,116 +926,34 @@ impl PruneCtx {
     }
 }
 
-/// The Theorem 1 dynamic program over an already-enumerated lattice with
-/// precomputed per-ideal cut volumes. Enforces `cfg.ideal_cap` on the given
-/// lattice too, so a shared over-cap lattice still fails this solver the
-/// way a local enumeration would. When the per-period admitted set
-/// overflows the edge cap and the dominance layer is on, falls back to the
-/// fused streaming sweep instead of failing (see
+/// The fresh per-period walk: runs the cluster-extension DFS at this
+/// period's thresholds and relaxes every transition the moment the DFS
+/// produces it, storing none of them — the producer for any period no
+/// [`TransitionSkeleton`] serves. The DFS visits sources in id order and
+/// each source's extensions in the skeleton's own order, so every
+/// candidate, tie-break and window — and therefore the returned chain and
+/// telemetry — is bit-identical to the skeleton path at the same period.
+///
+/// Enforces `cfg.ideal_cap` on the given lattice, so a shared over-cap
+/// lattice still fails this solver. With the dominance layer off the walk
+/// also counts admitted transitions and fails past `cfg.edge_cap` (see
 /// [`Dpa1dConfig::dominance`]).
-pub(crate) fn solve_chain_on(
+pub(crate) fn solve_chain_fresh(
     spg: &Spg,
     pf: &Platform,
     period: f64,
     cfg: &Dpa1dConfig,
-    lattice: &IdealLattice,
-    cuts: &[f64],
+    shared: &SharedLattice,
 ) -> Result<ChainSolve, Failure> {
-    debug_assert_eq!(cuts.len(), lattice.len());
+    let (lattice, cuts) = (&shared.lattice, &shared.cuts);
     check_ideal_cap(lattice, cfg)?;
     let adm = Admission::new(pf, period);
-    let (blocks, transitions) =
-        match materialize_transitions(spg, pf, period, lattice, cuts, &adm, cfg.edge_cap) {
-            Ok(bt) => bt,
-            Err(e) if cfg.dominance && is_materialise_overflow(&e) => {
-                return solve_chain_streaming(spg, pf, period, cfg, lattice, cuts, &adm);
-            }
-            Err(e) => return Err(e),
-        };
     let ec = EcalTable::new(pf, period);
     let mut state = DpState::new(lattice.len(), width_of(spg, pf));
     let pr = cfg
         .dominance
         .then(|| PruneCtx::new(spg, lattice, &ec, cfg.frontier_cap, state.width));
-
-    // The transition DAG is topologically ordered by id (every extension
-    // strictly grows the ideal, and ids are sorted by cardinality), so a
-    // SINGLE pass over the blocks in id order relaxes every cluster-count
-    // layer at once: when block `from` is processed, all of its in-edges
-    // (from strictly smaller ids) have already been relaxed, making row
-    // `e[from]` final. The per-ideal rows `e[i][k]` (best energy covering
-    // ideal `i` with exactly `k` clusters, `k <= min(r, n)`) stay
-    // cache-resident while the big transition arrays stream through memory
-    // exactly once — the classic layered formulation re-reads them `r`
-    // times.
-    let width = state.width;
-    let mut row = vec![f64::INFINITY; width];
-    for b in &blocks {
-        let f = b.from.idx();
-        if let Some(p) = &pr {
-            p.prune_row(
-                f,
-                b.hop,
-                width,
-                &mut state.e[f * width..(f + 1) * width],
-                &mut state.klo[f],
-                &mut state.khi[f],
-            );
-        }
-        let Some((lo, hi)) = state.window(f) else {
-            continue;
-        };
-        // Snapshot the source row: `e` rows of later ideals are written
-        // while this one is read, and the borrow is easier on a buffer.
-        row[lo..=hi].copy_from_slice(&state.e[f * width + lo..f * width + hi + 1]);
-        let range = b.range.start as usize..b.range.end as usize;
-        let mut kept = 0u64;
-        for (&to, &ecal) in transitions.to[range.clone()]
-            .iter()
-            .zip(&transitions.ecal[range])
-        {
-            kept += 1;
-            state.relax(to.idx(), b.from.0, b.hop + ecal, &row, lo, hi);
-        }
-        if let Some(p) = &pr {
-            p.count_source(f, kept, (hi - lo + 1) as u64);
-        }
-    }
-    finish_chain(&state, lattice, pr)
-}
-
-/// Whether a failure is the materialise-phase edge-cap overflow (the only
-/// budget failure the dominance layer is licensed to absorb).
-fn is_materialise_overflow(e: &Failure) -> bool {
-    matches!(
-        e.budget_exceeded(),
-        Some(b) if b.phase == BudgetPhase::Materialise
-    )
-}
-
-/// The materialisation-free relaxation: walks the per-period extension DFS
-/// exactly like [`materialize_transitions`] but relaxes every transition
-/// the moment the DFS produces it, storing none of them. The candidate
-/// sequence — and therefore every tie-break, window, and the returned
-/// chain — is bit-identical to materialise-then-relax; only the memory
-/// profile differs (DP rows instead of transition arrays). This is what
-/// makes the edge cap a *soundness-preserving* bound under the dominance
-/// layer: an admitted set past the cap costs time, not a `TooExpensive`
-/// failure.
-fn solve_chain_streaming(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    cfg: &Dpa1dConfig,
-    lattice: &IdealLattice,
-    cuts: &[f64],
-    adm: &Admission,
-) -> Result<ChainSolve, Failure> {
-    let ec = EcalTable::new(pf, period);
-    let mut state = DpState::new(lattice.len(), width_of(spg, pf));
-    let pr = PruneCtx::new(spg, lattice, &ec, cfg.frontier_cap, state.width);
-    let width = state.width;
-    let mut row = vec![f64::INFINITY; width];
+    let mut row = vec![f64::INFINITY; state.width];
     let mut ctx = ExtendCtx {
         spg,
         lattice,
@@ -1102,52 +961,50 @@ fn solve_chain_streaming(
         cap_work: adm.cap_work,
         stack: Vec::with_capacity(4 * spg.n()),
     };
+    // Only the dominance-off mode caps what a solve admits.
+    let admit_cap = if cfg.dominance {
+        usize::MAX
+    } else {
+        cfg.edge_cap
+    };
+    let mut admitted = 0usize;
     for from in lattice.ids() {
         let f = from.idx();
         if f != 0 && cuts[f] > adm.bw_cap {
             continue; // outgoing link overloaded: unreachable boundary
         }
         let hop = if f == 0 { 0.0 } else { pf.hop_energy(cuts[f]) };
+        // The ready stages of `from` are exactly its recorded covers.
         ctx.stack.clear();
         ctx.stack
             .extend(lattice.covers(from).iter().map(|&(s, _)| StageId(s)));
         let hi_stack = ctx.stack.len();
-        // Prune/snapshot lazily at the first produced transition, so a
-        // source with no work-feasible extension is treated exactly like a
-        // block the materialised path never created.
-        let mut win: Option<(usize, usize)> = None;
-        let mut primed = false;
-        let mut kept = 0u64;
-        extend(&mut ctx, from, 0.0, 1, 0, hi_stack, &mut |to: IdealId,
-                                                          w: f64,
-                                                          _depth: u32|
+        let mut src = SourceRelax::new(&mut state, &mut row, pr.as_ref(), from, hop);
+        let ok = extend(&mut ctx, from, 0.0, 1, 0, hi_stack, &mut |to: IdealId,
+                                                                   w: f64,
+                                                                   _depth: u32|
          -> bool {
-            let Some(ecal) = ec.ecal(w) else { return true };
-            if !primed {
-                primed = true;
-                pr.prune_row(
-                    f,
-                    hop,
-                    width,
-                    &mut state.e[f * width..(f + 1) * width],
-                    &mut state.klo[f],
-                    &mut state.khi[f],
-                );
-                win = state.window(f);
-                if let Some((lo, hi)) = win {
-                    row[lo..=hi].copy_from_slice(&state.e[f * width + lo..f * width + hi + 1]);
-                }
+            if admitted >= admit_cap {
+                return false;
             }
-            let Some((lo, hi)) = win else { return true };
-            kept += 1;
-            state.relax(to.idx(), from.0, hop + ecal, &row, lo, hi);
+            // The work threshold guarantees a feasible speed; be defensive
+            // about rounding anyway and skip rather than panic.
+            if let Some(ecal) = ec.ecal(w) {
+                admitted += 1;
+                src.relax(to, ecal);
+            }
             true
         });
-        if let Some((lo, hi)) = win {
-            pr.count_source(f, kept, (hi - lo + 1) as u64);
+        src.finish();
+        if !ok {
+            return Err(Failure::budget(
+                BudgetPhase::Materialise,
+                cfg.edge_cap,
+                cfg.edge_cap + 1,
+            ));
         }
     }
-    finish_chain(&state, lattice, Some(pr))
+    finish_chain(&state, lattice, pr)
 }
 
 /// Backtracks the relaxed state into a cluster chain and stamps the
@@ -1164,11 +1021,12 @@ fn finish_chain(
 
 /// The same dynamic program off a prebuilt [`TransitionSkeleton`]: no
 /// lattice walk, no hashing — per transition, two threshold compares, the
-/// `Ecal` speed lookup, and the relaxation. Fans the per-level block loop
-/// out over rayon when the skeleton is large enough (see
-/// [`Dpa1dConfig::relax_par_threshold`]); small instances keep the
-/// sequential single-pass sweep. Both orders relax every `(ideal, k)` slot
-/// over the same candidate sequence, so the result is bit-identical.
+/// `Ecal` speed lookup, and the relaxation. Fans the per-level loop out
+/// over rayon when some cardinality level carries at least `par_threshold`
+/// in-edges and the pool has more than one worker (the solver passes
+/// [`RELAX_PAR_THRESHOLD`]); otherwise keeps the sequential single-pass
+/// sweep. Both orders relax every `(ideal, k)` slot over the same
+/// candidate sequence, so the result is bit-identical.
 pub(crate) fn solve_chain_skeleton(
     spg: &Spg,
     pf: &Platform,
@@ -1176,16 +1034,16 @@ pub(crate) fn solve_chain_skeleton(
     cfg: &Dpa1dConfig,
     lattice: &IdealLattice,
     sk: &TransitionSkeleton,
+    par_threshold: usize,
 ) -> Result<ChainSolve, Failure> {
     check_ideal_cap(lattice, cfg)?;
     let adm = Admission::new(pf, period);
     if !cfg.dominance {
-        // Legacy (0.7) semantics: enforce the edge cap on the *admitted*
-        // count, which is exactly what per-period materialisation would
-        // have produced. With the dominance layer on the check is skipped:
-        // the admission scan streams over the already-materialised index,
-        // so an over-cap admitted count is time, not memory — the cap only
-        // bounds what gets built.
+        // Pre-dominance semantics: enforce the edge cap on the *admitted*
+        // count, exactly as the fresh walk does. With the dominance layer
+        // on the check is skipped: the admission scan streams over the
+        // already-built index, so an over-cap admitted count is time, not
+        // memory — the cap only bounds what gets built.
         let admitted = sk.admitted_count(&adm);
         if admitted > cfg.edge_cap {
             return Err(Failure::budget(
@@ -1205,15 +1063,8 @@ pub(crate) fn solve_chain_skeleton(
     // one worker; otherwise the block-order sweep is both allocation-free
     // and cache-friendlier (and with one worker the layered form's
     // transposed access pattern is pure loss).
-    if sk.has_parallel_level(cfg.relax_par_threshold) && rayon::current_num_threads() > 1 {
-        relax_skeleton_par(
-            &mut state,
-            sk,
-            &adm,
-            &ecal,
-            cfg.relax_par_threshold,
-            pr.as_ref(),
-        );
+    if sk.has_parallel_level(par_threshold) && rayon::current_num_threads() > 1 {
+        relax_skeleton_par(&mut state, sk, &adm, &ecal, par_threshold, pr.as_ref());
     } else {
         relax_skeleton_seq(&mut state, sk, &adm, &ecal, pr.as_ref());
     }
@@ -1221,7 +1072,8 @@ pub(crate) fn solve_chain_skeleton(
 }
 
 /// Sequential single-pass sweep over the skeleton blocks with inline
-/// admission: the skeleton analogue of the loop in [`solve_chain_on`].
+/// admission: the skeleton's feed into [`SourceRelax`], in the same
+/// source and candidate order as the fresh walk.
 fn relax_skeleton_seq(
     state: &mut DpState,
     sk: &TransitionSkeleton,
@@ -1229,61 +1081,110 @@ fn relax_skeleton_seq(
     ec: &EcalTable,
     pr: Option<&PruneCtx>,
 ) {
-    let width = state.width;
-    let mut row = vec![f64::INFINITY; width];
-    for b in &sk.blocks {
-        if !b.admissible(adm) {
-            continue;
-        }
-        let f = b.from.idx();
-        // The row is final here (all in-edges come from smaller ids), and
-        // its out-transitions are about to be scanned — the dominance
-        // layer's pruning point. Gated on `block_live`: a fresh build at
-        // this period materialises a block only when some out-transition
-        // is work-feasible, and it prunes exactly those rows — the
-        // telemetry parity pins depend on matching that. The parallel
-        // order prunes the same rows on the same finalised data (each
-        // inside the task that owns it), so decisions, windows, and
-        // counters agree bit for bit.
-        if let Some(p) = pr.filter(|_| sk.block_live(b, adm, ec)) {
-            p.prune_row(
-                f,
-                b.hop,
-                width,
-                &mut state.e[f * width..(f + 1) * width],
-                &mut state.klo[f],
-                &mut state.khi[f],
-            );
-        }
-        let Some((lo, hi)) = state.window(f) else {
-            continue;
-        };
-        row[lo..=hi].copy_from_slice(&state.e[f * width + lo..f * width + hi + 1]);
+    let mut row = vec![f64::INFINITY; state.width];
+    for b in sk.blocks.iter().filter(|b| b.admissible(adm)) {
+        let mut src = SourceRelax::new(state, &mut row, pr, b.from, b.hop);
         let range = b.range.start as usize..b.range.end as usize;
-        let mut kept = 0u64;
         for (&to, &w) in sk.to[range.clone()].iter().zip(&sk.work[range]) {
             if w > adm.cap_work {
                 continue;
             }
-            // The work threshold guarantees a feasible speed; be defensive
-            // about rounding anyway and skip rather than panic.
             let Some(ecal) = ec.ecal(w) else { continue };
-            kept += 1;
-            state.relax(to.idx(), b.from.0, b.hop + ecal, &row, lo, hi);
+            src.relax(to, ecal);
         }
-        if let Some(p) = pr {
-            p.count_source(f, kept, (hi - lo + 1) as u64);
+        src.finish();
+    }
+}
+
+/// The per-source step both sequential producers feed, in ascending source
+/// id order. The transition DAG is topologically ordered by id (every
+/// extension strictly grows the ideal, and ids are sorted by cardinality),
+/// so a SINGLE pass over the sources relaxes every cluster-count slot at
+/// once: when source `from` is reached, all of its in-edges have already
+/// been relaxed and its row `e[from]` is final. The per-ideal rows stay
+/// cache-resident while the transitions stream past exactly once.
+///
+/// The first admitted transition primes the source: it prunes the row
+/// (the dominance layer's pruning point), fixes its relaxation window and
+/// snapshots it. A source with no admitted transition is never touched.
+struct SourceRelax<'s> {
+    state: &'s mut DpState,
+    row: &'s mut [f64],
+    pr: Option<&'s PruneCtx>,
+    from: IdealId,
+    /// Hop energy paid on the uni-line link entering the next cluster
+    /// (0 for the empty ideal, which has no predecessor link).
+    hop: f64,
+    /// `None` until primed; then the row's window, itself `None` when the
+    /// source is unreachable or cannot take another cluster.
+    win: Option<Option<(usize, usize)>>,
+    kept: u64,
+}
+
+impl<'s> SourceRelax<'s> {
+    fn new(
+        state: &'s mut DpState,
+        row: &'s mut [f64],
+        pr: Option<&'s PruneCtx>,
+        from: IdealId,
+        hop: f64,
+    ) -> Self {
+        SourceRelax {
+            state,
+            row,
+            pr,
+            from,
+            hop,
+            win: None,
+            kept: 0,
+        }
+    }
+
+    /// Relaxes one admitted transition `from → to` of compute energy
+    /// `ecal`.
+    #[inline]
+    fn relax(&mut self, to: IdealId, ecal: f64) {
+        let win = match self.win {
+            Some(win) => win,
+            None => self.prime(),
+        };
+        let Some((lo, hi)) = win else { return };
+        self.kept += 1;
+        self.state
+            .relax(to.idx(), self.from.0, self.hop + ecal, self.row, lo, hi);
+    }
+
+    fn prime(&mut self) -> Option<(usize, usize)> {
+        let f = self.from.idx();
+        let width = self.state.width;
+        if let Some(p) = self.pr {
+            p.prune_row(
+                f,
+                self.hop,
+                width,
+                &mut self.state.e[f * width..(f + 1) * width],
+                &mut self.state.klo[f],
+                &mut self.state.khi[f],
+            );
+        }
+        let win = self.state.window(f);
+        if let Some((lo, hi)) = win {
+            // Snapshot the source row: rows of later ideals are written
+            // while this one is read.
+            self.row[lo..=hi].copy_from_slice(&self.state.e[f * width + lo..f * width + hi + 1]);
+        }
+        self.win = Some(win);
+        win
+    }
+
+    /// Accounts the source's relaxations in the dominance telemetry.
+    fn finish(self) {
+        if let (Some(p), Some(Some((lo, hi)))) = (self.pr, self.win) {
+            p.count_source(self.from.idx(), self.kept, (hi - lo + 1) as u64);
         }
     }
 }
 
-/// Parallel layered relaxation: cardinality levels run in sequence (all
-/// in-edges of a level-`L` ideal come from strictly earlier levels), and
-/// within a level the per-destination rows are computed independently over
-/// the rayon pool via the skeleton's transposed index. Each destination
-/// relaxes its in-edges in ascending global order — the exact order the
-/// sequential sweep would have offered its candidates — so energies,
-/// parents, and windows come out bit-identical.
 /// One destination's unit of parallel work: its ideal id and exclusive
 /// views of its DP row, parent row, and window bounds.
 type LevelTask<'a> = (
@@ -1294,6 +1195,13 @@ type LevelTask<'a> = (
     &'a mut u16,
 );
 
+/// Parallel layered relaxation: cardinality levels run in sequence (all
+/// in-edges of a level-`L` ideal come from strictly earlier levels), and
+/// within a level the per-destination rows are computed independently over
+/// the rayon pool via the skeleton's transposed index. Each destination
+/// relaxes its in-edges in ascending global order — the exact order the
+/// sequential sweep would have offered its candidates — so energies,
+/// parents, and windows come out bit-identical.
 fn relax_skeleton_par(
     state: &mut DpState,
     sk: &TransitionSkeleton,
@@ -1385,10 +1293,9 @@ fn relax_skeleton_par(
             if let Some(p) = pr {
                 p.count_edges(kept_n, pruned_n);
                 // This row is final once its last in-edge has relaxed:
-                // prune it here, inside the task that owns it, iff a
-                // fresh per-period build would have materialised its
-                // out-block (the same gate the sequential sweep applies
-                // when it reaches the block).
+                // prune it here, inside the task that owns it, iff its
+                // out-block admits a transition at this period (exactly
+                // when the sequential sweep would prime it).
                 let bi = block_of[t];
                 if bi != u32::MAX {
                     let b = &sk.blocks[bi as usize];
@@ -1521,12 +1428,12 @@ impl DpState {
 }
 
 /// Lays a cluster chain along the snake and validates it.
-pub(crate) fn build_snake_solution(
+fn build_snake_solution(
     spg: &Spg,
     pf: &Platform,
     period: f64,
     chain: &[Vec<StageId>],
-    table: Option<&RouteTable>,
+    table: &RouteTable,
 ) -> Result<Solution, Failure> {
     let mut alloc = vec![CoreId { u: 0, v: 0 }; spg.n()];
     // Clusters land on consecutive *alive* snake positions (the identity
@@ -1554,82 +1461,7 @@ pub(crate) fn build_snake_solution(
         speed,
         routes: RouteSpec::Snake,
     };
-    validated_with(spg, pf, mapping, period, table)
-}
-
-/// Enumerates every (ideal, one-cluster extension) pair with cluster work
-/// within the period's work cap, visiting each extension exactly once via
-/// first-included-stage branching on ready stages. Ideals whose outgoing
-/// cut already exceeds the bandwidth-period product are skipped outright:
-/// no chain may pass through them, so their transitions would be dead
-/// weight in the relaxation.
-fn materialize_transitions(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    lattice: &IdealLattice,
-    cuts: &[f64],
-    adm: &Admission,
-    edge_cap: usize,
-) -> Result<(Vec<TransitionBlock>, Transitions), Failure> {
-    let mut blocks: Vec<TransitionBlock> = Vec::new();
-    let mut transitions = Transitions::default();
-    let mut ctx = ExtendCtx {
-        spg,
-        lattice,
-        pred_masks: lattice.pred_masks(),
-        cap_work: adm.cap_work,
-        stack: Vec::with_capacity(4 * spg.n()),
-    };
-    let ecal = EcalTable::new(pf, period);
-    for from in lattice.ids() {
-        if from.idx() != 0 && cuts[from.idx()] > adm.bw_cap {
-            continue; // outgoing link overloaded: unreachable boundary
-        }
-        // The ready stages of `from` are exactly its recorded covers.
-        ctx.stack.clear();
-        ctx.stack
-            .extend(lattice.covers(from).iter().map(|&(s, _)| StageId(s)));
-        let hi = ctx.stack.len();
-        let start = transitions.len() as u32;
-        let ok = extend(&mut ctx, from, 0.0, 1, 0, hi, &mut |to: IdealId,
-                                                             w: f64,
-                                                             _depth: u32|
-         -> bool {
-            if transitions.len() >= edge_cap {
-                return false;
-            }
-            // The work pruning guarantees a feasible speed exists; be
-            // defensive about rounding anyway and drop the transition
-            // rather than panic.
-            if let Some(ecal) = ecal.ecal(w) {
-                transitions.to.push(to);
-                transitions.ecal.push(ecal);
-            }
-            true
-        });
-        if !ok {
-            return Err(Failure::budget(
-                BudgetPhase::Materialise,
-                edge_cap,
-                edge_cap + 1,
-            ));
-        }
-        let end = transitions.len() as u32;
-        if end > start {
-            let hop = if from.idx() == 0 {
-                0.0
-            } else {
-                pf.hop_energy(cuts[from.idx()])
-            };
-            blocks.push(TransitionBlock {
-                from,
-                hop,
-                range: start..end,
-            });
-        }
-    }
-    Ok((blocks, transitions))
+    validated_with(spg, pf, mapping, period, Some(table))
 }
 
 /// Shared state of the cluster-extension DFS: the graph, the interned
@@ -1699,16 +1531,44 @@ fn extend(
     true
 }
 
+/// Runs `DPA1D` through the fresh walk on a new instance's shared lattice
+/// — the oracle the skeleton producers and the exact solver are checked
+/// against.
+#[cfg(test)]
+pub(crate) fn solve_fresh(
+    spg: &Spg,
+    pf: &Platform,
+    period: f64,
+    cfg: &Dpa1dConfig,
+) -> Result<Solution, Failure> {
+    let inst = crate::Instance::new(spg.clone(), pf.clone(), period);
+    let shared = inst
+        .lattice(cfg.ideal_cap)
+        .map_err(|e| lattice_failure(&e))?;
+    let table = inst.route_table(cmp_platform::RoutePolicy::Snake);
+    dpa1d_run(spg, pf, period, cfg, &shared, None, &table)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spg::{chain, parallel_many};
+    use crate::Instance;
+    use spg::{chain, parallel_many, streamit_workflow, STREAMIT_SPECS};
+    use std::sync::Arc;
+
+    /// The interned lattice (and cut volumes) of `g`, as an instance
+    /// shares it with every `DPA1D` solve.
+    fn shared(g: &Spg, cap: usize) -> Arc<SharedLattice> {
+        Instance::new(g.clone(), Platform::paper(1, 1), 1.0)
+            .lattice(cap)
+            .unwrap()
+    }
 
     #[test]
     fn single_core_when_period_is_loose() {
         let pf = Platform::paper(4, 4);
         let g = chain(&[1e6; 10], &[1e3; 9]);
-        let sol = dpa1d_run(&g, &pf, 1.0, &Dpa1dConfig::default(), None, None, None).unwrap();
+        let sol = solve_fresh(&g, &pf, 1.0, &Dpa1dConfig::default()).unwrap();
         assert_eq!(sol.eval.active_cores, 1);
         let expect = 0.08 + (1e7 / 0.15e9) * 0.08;
         assert!((sol.energy() - expect).abs() < 1e-9);
@@ -1719,7 +1579,7 @@ mod tests {
         let pf = Platform::paper(2, 2);
         // 4 stages of 0.9e9 cycles: one per core at 1 GHz for T = 1.
         let g = chain(&[0.9e9; 4], &[1e3; 3]);
-        let sol = dpa1d_run(&g, &pf, 1.0, &Dpa1dConfig::default(), None, None, None).unwrap();
+        let sol = solve_fresh(&g, &pf, 1.0, &Dpa1dConfig::default()).unwrap();
         assert_eq!(sol.eval.active_cores, 4);
     }
 
@@ -1728,7 +1588,7 @@ mod tests {
         let pf = Platform::paper(1, 2);
         let g = chain(&[0.9e9; 3], &[1e3; 2]);
         assert!(matches!(
-            dpa1d_run(&g, &pf, 1.0, &Dpa1dConfig::default(), None, None, None),
+            solve_fresh(&g, &pf, 1.0, &Dpa1dConfig::default()),
             Err(Failure::NoValidMapping(_))
         ));
     }
@@ -1743,7 +1603,7 @@ mod tests {
             ideal_cap: 1000,
             ..Default::default()
         };
-        let err = dpa1d_run(&g, &pf, 1.0, &cfg, None, None, None).unwrap_err();
+        let err = solve_fresh(&g, &pf, 1.0, &cfg).unwrap_err();
         let budget = err.budget_exceeded().expect("budget failure");
         assert_eq!(budget.phase, BudgetPhase::Enumerate);
         assert_eq!(budget.cap, 1000);
@@ -1756,14 +1616,16 @@ mod tests {
         // for the link: DPA1D must fail rather than emit an invalid mapping.
         let pf = Platform::paper(1, 2);
         let g = chain(&[0.9e9, 0.9e9], &[25e9]);
-        assert!(dpa1d_run(&g, &pf, 1.0, &Dpa1dConfig::default(), None, None, None).is_err());
+        assert!(solve_fresh(&g, &pf, 1.0, &Dpa1dConfig::default()).is_err());
     }
 
     #[test]
     fn chain_clusters_are_contiguous_prefix_partition() {
         let pf = Platform::paper(1, 4);
         let g = chain(&[0.5e9; 6], &[1e3; 5]);
-        let (chain_sol, _) = solve_chain(&g, &pf, 1.0, &Dpa1dConfig::default()).unwrap();
+        let cfg = Dpa1dConfig::default();
+        let sh = shared(&g, cfg.ideal_cap);
+        let (chain_sol, _) = solve_chain_fresh(&g, &pf, 1.0, &cfg, &sh).unwrap();
         // Union of clusters in order must walk the chain front to back.
         let topo = g.topo_order();
         let flat: Vec<StageId> = chain_sol
@@ -1782,7 +1644,7 @@ mod tests {
         // The DP's internal cost model must agree with the shared evaluator.
         let pf = Platform::paper(2, 3);
         let g = chain(&[0.5e9, 0.3e9, 0.7e9, 0.2e9], &[1e6, 5e6, 2e6]);
-        let sol = dpa1d_run(&g, &pf, 1.0, &Dpa1dConfig::default(), None, None, None).unwrap();
+        let sol = solve_fresh(&g, &pf, 1.0, &Dpa1dConfig::default()).unwrap();
         // Recompute through the evaluator (already done inside validated);
         // here we just sanity-check decomposition adds up.
         let e = &sol.eval;
@@ -1793,8 +1655,8 @@ mod tests {
     }
 
     /// The skeleton path (sequential and forced-parallel) must agree with
-    /// the fresh per-period materialisation to the last bit, across loose
-    /// and tight periods and across the empty-ideal special cases.
+    /// the fresh per-period walk to the last bit, across loose and tight
+    /// periods and across the empty-ideal special cases.
     #[test]
     fn skeleton_paths_match_fresh_materialisation() {
         let graphs = [chain(&[0.5e9, 0.3e9, 0.7e9, 0.2e9], &[1e6, 5e6, 2e6]), {
@@ -1805,29 +1667,20 @@ mod tests {
         }];
         let pf = Platform::paper(2, 3);
         let cfg = Dpa1dConfig::default();
+        // A 2-worker pool keeps the forced-parallel leg meaningful on
+        // single-core machines (the solver falls back to the sequential
+        // order when only one worker is available).
+        let pool = rayon::ThreadPool::new(2);
         for g in &graphs {
-            let lattice = enumerate_ideals(g, cfg.ideal_cap).unwrap();
-            let cuts: Vec<f64> = lattice.iter().map(|s| g.cut_volume(s)).collect();
-            let shared = SharedLattice {
-                lattice: enumerate_ideals(g, cfg.ideal_cap).unwrap(),
-                cuts: cuts.clone(),
-            };
-            let sk = build_skeleton(g, &pf, &shared, cfg.edge_cap).unwrap();
+            let sh = shared(g, cfg.ideal_cap);
+            let sk = build_skeleton(g, &pf, &sh, cfg.edge_cap).unwrap();
             assert!(sk.n_transitions() > 0 && sk.n_blocks() > 0);
             assert!(sk.max_cluster_stages() >= 1);
             for period in [1.0, 0.5, 0.2, 0.05, 0.01] {
-                let fresh = solve_chain_on(g, &pf, period, &cfg, &lattice, &cuts);
-                let seq = solve_chain_skeleton(g, &pf, period, &cfg, &lattice, &sk);
-                let par_cfg = Dpa1dConfig {
-                    relax_par_threshold: 0, // force the parallel path
-                    ..cfg.clone()
-                };
-                // A 2-worker pool keeps the forced-parallel leg meaningful
-                // on single-core machines (the solver falls back to the
-                // sequential order when only one worker is available).
-                let pool = rayon::ThreadPool::new(2);
-                let par =
-                    pool.install(|| solve_chain_skeleton(g, &pf, period, &par_cfg, &lattice, &sk));
+                let fresh = solve_chain_fresh(g, &pf, period, &cfg, &sh);
+                let seq = solve_chain_skeleton(g, &pf, period, &cfg, &sh.lattice, &sk, usize::MAX);
+                let par = pool
+                    .install(|| solve_chain_skeleton(g, &pf, period, &cfg, &sh.lattice, &sk, 0));
                 match (&fresh, &seq, &par) {
                     (Ok(a), Ok(b), Ok(c)) => {
                         assert_eq!(a, b, "sequential skeleton diverged at T={period}");
@@ -1840,6 +1693,46 @@ mod tests {
         }
     }
 
+    /// The by-destination parallel layered relaxation (threshold 0, on a
+    /// 2-worker pool) equals the sequential single-pass sweep (threshold
+    /// `usize::MAX`) across the StreamIt suite, at a loose and a tight
+    /// period each.
+    #[test]
+    fn parallel_and_sequential_relaxation_agree_on_streamit() {
+        let pf = Platform::paper(4, 4);
+        let cfg = Dpa1dConfig::default();
+        let pool = rayon::ThreadPool::new(2);
+        let mut compared = 0usize;
+        for spec in STREAMIT_SPECS.iter() {
+            let g = streamit_workflow(spec, 2011);
+            let hi = 2.0 * g.total_work() / (8.0 * 1e9);
+            for t in [hi, hi / 5.0] {
+                let inst = Instance::new(g.clone(), pf.clone(), t);
+                // Over-cap lattices fail before any relaxation runs, and a
+                // period no skeleton serves takes the (always sequential)
+                // fresh walk: neither has two orders to compare.
+                let Ok(sh) = inst.lattice(cfg.ideal_cap) else {
+                    continue;
+                };
+                let Some(sk) = inst.transition_skeleton(&cfg).unwrap() else {
+                    continue;
+                };
+                let seq = solve_chain_skeleton(&g, &pf, t, &cfg, &sh.lattice, &sk, usize::MAX);
+                let par =
+                    pool.install(|| solve_chain_skeleton(&g, &pf, t, &cfg, &sh.lattice, &sk, 0));
+                match (seq, par) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a, b, "{}: parallel relaxation diverged at T={t}", spec.name);
+                        compared += 1;
+                    }
+                    (Err(x), Err(y)) => assert_eq!(x, y),
+                    (x, y) => panic!("{}: outcome mismatch {x:?} vs {y:?}", spec.name),
+                }
+            }
+        }
+        assert!(compared >= 6, "suite must exercise the skeleton paths");
+    }
+
     /// The admitted-transition count is monotone in the period and the
     /// edge cap failure carries the admitted count.
     #[test]
@@ -1847,14 +1740,8 @@ mod tests {
         let g = chain(&[0.5e9; 6], &[1e5; 5]);
         let pf = Platform::paper(2, 2);
         let cfg = Dpa1dConfig::default();
-        let shared = SharedLattice {
-            lattice: enumerate_ideals(&g, cfg.ideal_cap).unwrap(),
-            cuts: {
-                let l = enumerate_ideals(&g, cfg.ideal_cap).unwrap();
-                l.iter().map(|s| g.cut_volume(s)).collect()
-            },
-        };
-        let sk = build_skeleton(&g, &pf, &shared, cfg.edge_cap).unwrap();
+        let sh = shared(&g, cfg.ideal_cap);
+        let sk = build_skeleton(&g, &pf, &sh, cfg.edge_cap).unwrap();
         let mut prev = 0usize;
         for period in [0.01, 0.1, 1.0, 10.0] {
             let adm = Admission::new(&pf, period);
@@ -1863,14 +1750,17 @@ mod tests {
             prev = n;
         }
         assert_eq!(prev, sk.n_transitions(), "a loose period admits all");
-        // With the dominance layer off (legacy semantics), a tiny edge cap
-        // fails the skeleton path with the admitted count.
+        let solve = |cfg: &Dpa1dConfig| {
+            solve_chain_skeleton(&g, &pf, 1.0, cfg, &sh.lattice, &sk, RELAX_PAR_THRESHOLD)
+        };
+        // With the dominance layer off, a tiny edge cap fails the skeleton
+        // path with the admitted count.
         let tight = Dpa1dConfig {
             edge_cap: 1,
             dominance: false,
             ..cfg.clone()
         };
-        let err = solve_chain_skeleton(&g, &pf, 1.0, &tight, &shared.lattice, &sk).unwrap_err();
+        let err = solve(&tight).unwrap_err();
         let b = err.budget_exceeded().unwrap();
         assert_eq!(b.phase, BudgetPhase::Materialise);
         assert_eq!(b.cap, 1);
@@ -1878,13 +1768,12 @@ mod tests {
         // With the dominance layer on, the same cap is a bound on what gets
         // *built*, not a failure mode: the already-built skeleton streams
         // through admission and yields the exact chain.
-        let (unc, _) = solve_chain_skeleton(&g, &pf, 1.0, &cfg, &shared.lattice, &sk).unwrap();
+        let (unc, _) = solve(&cfg).unwrap();
         let tight_dom = Dpa1dConfig {
             edge_cap: 1,
             ..cfg.clone()
         };
-        let (capped, stats) =
-            solve_chain_skeleton(&g, &pf, 1.0, &tight_dom, &shared.lattice, &sk).unwrap();
+        let (capped, stats) = solve(&tight_dom).unwrap();
         assert_eq!(unc, capped, "edge cap must not change the exact chain");
         let stats = stats.unwrap();
         assert_eq!(stats.bound_gap, 0.0, "uncapped frontier is exact");
@@ -1897,18 +1786,12 @@ mod tests {
     fn skeleton_build_respects_edge_cap() {
         let g = chain(&[1e6; 30], &[1e3; 29]);
         let pf = Platform::paper(2, 2);
-        let shared = SharedLattice {
-            lattice: enumerate_ideals(&g, 60_000).unwrap(),
-            cuts: {
-                let l = enumerate_ideals(&g, 60_000).unwrap();
-                l.iter().map(|s| g.cut_volume(s)).collect()
-            },
-        };
+        let sh = shared(&g, 60_000);
         // A 30-chain has 31 ideals and C(31,2) = 465 transitions.
-        let sk = build_skeleton(&g, &pf, &shared, 1_000_000).unwrap();
+        let sk = build_skeleton(&g, &pf, &sh, 1_000_000).unwrap();
         assert_eq!(sk.n_transitions(), 465);
         assert!(sk.is_complete() && sk.serves(f64::MAX));
-        let err = build_skeleton(&g, &pf, &shared, 100).unwrap_err();
+        let err = build_skeleton(&g, &pf, &sh, 100).unwrap_err();
         let b = err.budget_exceeded().unwrap();
         assert_eq!(b.phase, BudgetPhase::Materialise);
         assert_eq!(b.cap, 100);
@@ -1916,15 +1799,15 @@ mod tests {
         // admitted set — it fits the cap the complete build overflows.
         // cap_work = 3e6 ⇒ clusters of ≤ 3 stages ⇒ 3·30 − 3 = 87 ≤ 100.
         let ceiling = 0.003;
-        let bounded = build_skeleton_bounded(&g, &pf, &shared, 100, ceiling).unwrap();
+        let bounded = build_skeleton_bounded(&g, &pf, &sh, 100, ceiling).unwrap();
         assert!(!bounded.is_complete());
         assert!(bounded.serves(ceiling) && !bounded.serves(ceiling * 1.01));
         assert!(bounded.n_transitions() < sk.n_transitions());
     }
 
     /// A bounded skeleton serves every period at or below its ceiling
-    /// bit-identically to the complete skeleton AND to fresh per-period
-    /// materialisation — results and telemetry both.
+    /// bit-identically to the complete skeleton AND to the fresh walk —
+    /// results and telemetry both.
     #[test]
     fn bounded_skeleton_matches_fresh_below_ceiling() {
         let branches: Vec<Spg> = (0..3)
@@ -1933,15 +1816,10 @@ mod tests {
         let g = spg::series(&chain(&[1e8, 2e8], &[1e4]), &parallel_many(&branches));
         let pf = Platform::paper(2, 3);
         let cfg = Dpa1dConfig::default();
-        let lattice = enumerate_ideals(&g, cfg.ideal_cap).unwrap();
-        let cuts: Vec<f64> = lattice.iter().map(|s| g.cut_volume(s)).collect();
-        let shared = SharedLattice {
-            lattice: enumerate_ideals(&g, cfg.ideal_cap).unwrap(),
-            cuts: cuts.clone(),
-        };
-        let complete = build_skeleton(&g, &pf, &shared, cfg.edge_cap).unwrap();
+        let sh = shared(&g, cfg.ideal_cap);
+        let complete = build_skeleton(&g, &pf, &sh, cfg.edge_cap).unwrap();
         let ceiling = 0.5;
-        let bounded = build_skeleton_bounded(&g, &pf, &shared, cfg.edge_cap, ceiling).unwrap();
+        let bounded = build_skeleton_bounded(&g, &pf, &sh, cfg.edge_cap, ceiling).unwrap();
         assert!(bounded.n_transitions() <= complete.n_transitions());
         for period in [0.5, 0.2, 0.05, 0.01] {
             let adm = Admission::new(&pf, period);
@@ -1950,8 +1828,16 @@ mod tests {
                 complete.admitted_count(&adm),
                 "admitted sets must agree at T={period}"
             );
-            let fresh = solve_chain_on(&g, &pf, period, &cfg, &lattice, &cuts);
-            let served = solve_chain_skeleton(&g, &pf, period, &cfg, &lattice, &bounded);
+            let fresh = solve_chain_fresh(&g, &pf, period, &cfg, &sh);
+            let served = solve_chain_skeleton(
+                &g,
+                &pf,
+                period,
+                &cfg,
+                &sh.lattice,
+                &bounded,
+                RELAX_PAR_THRESHOLD,
+            );
             match (&fresh, &served) {
                 (Ok(a), Ok(b)) => assert_eq!(a, b, "bounded skeleton diverged at T={period}"),
                 (Err(_), Err(_)) => {}
@@ -1960,9 +1846,11 @@ mod tests {
         }
     }
 
-    /// With dominance on, a materialise-overflow streams the relaxation
-    /// instead of failing, and matches the uncapped materialised solve —
-    /// results and telemetry — making the edge cap soundness-preserving.
+    /// With dominance on, the fresh walk ignores the edge cap and matches
+    /// the materialised skeleton — results and telemetry — making the cap
+    /// soundness-preserving. With dominance off it keeps the hard budget:
+    /// it fails exactly when the admitted set exceeds the cap, with the
+    /// `(Materialise, cap, cap + 1)` payload.
     #[test]
     fn streaming_fallback_matches_materialised() {
         // 6 cores: even the tight period's all-singleton chain stays
@@ -1970,27 +1858,48 @@ mod tests {
         let g = chain(&[0.5e9; 6], &[1e5; 5]);
         let pf = Platform::paper(2, 3);
         let base = Dpa1dConfig::default();
-        let lattice = enumerate_ideals(&g, base.ideal_cap).unwrap();
-        let cuts: Vec<f64> = lattice.iter().map(|s| g.cut_volume(s)).collect();
+        let sh = shared(&g, base.ideal_cap);
+        let sk = build_skeleton(&g, &pf, &sh, base.edge_cap).unwrap();
         for period in [1.0, 0.5] {
-            let full = solve_chain_on(&g, &pf, period, &base, &lattice, &cuts).unwrap();
+            let full = solve_chain_skeleton(
+                &g,
+                &pf,
+                period,
+                &base,
+                &sh.lattice,
+                &sk,
+                RELAX_PAR_THRESHOLD,
+            )
+            .unwrap();
             let capped_cfg = Dpa1dConfig {
                 edge_cap: 1,
                 ..base.clone()
             };
-            let capped = solve_chain_on(&g, &pf, period, &capped_cfg, &lattice, &cuts).unwrap();
+            let capped = solve_chain_fresh(&g, &pf, period, &capped_cfg, &sh).unwrap();
             assert_eq!(full, capped, "streaming diverged at T={period}");
-            // Dominance off keeps the 0.7 semantics: a hard budget failure.
-            let legacy = Dpa1dConfig {
-                edge_cap: 1,
+            // Dominance off: the cap binds the admitted count.
+            let admitted = sk.admitted_count(&Admission::new(&pf, period));
+            assert!(admitted > 1);
+            let legacy = |edge_cap: usize| Dpa1dConfig {
+                edge_cap,
                 dominance: false,
                 ..base.clone()
             };
-            let err = solve_chain_on(&g, &pf, period, &legacy, &lattice, &cuts).unwrap_err();
+            let (at_cap, stats) =
+                solve_chain_fresh(&g, &pf, period, &legacy(admitted), &sh).unwrap();
             assert_eq!(
-                err.budget_exceeded().unwrap().phase,
-                BudgetPhase::Materialise
+                at_cap, full.0,
+                "dominance off changed the chain at T={period}"
             );
+            assert!(stats.is_none());
+            for cap in [1, admitted - 1] {
+                let err = solve_chain_fresh(&g, &pf, period, &legacy(cap), &sh).unwrap_err();
+                assert_eq!(
+                    err,
+                    Failure::budget(BudgetPhase::Materialise, cap, cap + 1),
+                    "dominance-off payload at T={period}, cap {cap}"
+                );
+            }
         }
     }
 
@@ -2006,14 +1915,16 @@ mod tests {
             spg::series(&chain(&[1e8, 2e8], &[1e4]), &parallel_many(&branches))
         }];
         let pf = Platform::paper(2, 3);
+        let on_cfg = Dpa1dConfig::default();
         let off_cfg = Dpa1dConfig {
             dominance: false,
             ..Default::default()
         };
         for g in &graphs {
+            let sh = shared(g, on_cfg.ideal_cap);
             for period in [1.0, 0.5, 0.2, 0.05, 0.01] {
-                let on = solve_chain(g, &pf, period, &Dpa1dConfig::default());
-                let off = solve_chain(g, &pf, period, &off_cfg);
+                let on = solve_chain_fresh(g, &pf, period, &on_cfg, &sh);
+                let off = solve_chain_fresh(g, &pf, period, &off_cfg, &sh);
                 match (&on, &off) {
                     (Ok(a), Ok(b)) => {
                         assert_eq!(a.0, b.0, "dominance changed the chain at T={period}");
@@ -2037,7 +1948,7 @@ mod tests {
         let g = chain(&[0.4e9; 4], &[1e3; 3]);
         let pf = Platform::paper(2, 2);
         let t = 1.0;
-        let exact = dpa1d_run(&g, &pf, t, &Dpa1dConfig::default(), None, None, None).unwrap();
+        let exact = solve_fresh(&g, &pf, t, &Dpa1dConfig::default()).unwrap();
         let exact_stats = exact.prune.expect("dominance on by default");
         assert!(
             exact_stats.frontier_max >= 2,
@@ -2048,7 +1959,7 @@ mod tests {
             frontier_cap: 1,
             ..Default::default()
         };
-        let capped = dpa1d_run(&g, &pf, t, &capped_cfg, None, None, None).unwrap();
+        let capped = solve_fresh(&g, &pf, t, &capped_cfg).unwrap();
         let gap = capped.bound_gap();
         assert!(gap >= 0.0);
         // The capped solve prices a (possibly suboptimal) valid chain, so
@@ -2065,5 +1976,23 @@ mod tests {
         );
     }
 
-    use spg::Spg;
+    /// A skeleton image with no blocks must not decode when its transposed
+    /// index still names a block: the parallel relaxation would index the
+    /// empty block list.
+    #[test]
+    fn from_bytes_rejects_a_transposed_entry_without_blocks() {
+        let crafted = TransitionSkeleton {
+            blocks: Vec::new(),
+            to: vec![IdealId(0)],
+            work: vec![1.0],
+            max_stages: 1,
+            in_off: vec![0, 1],
+            in_idx: vec![0],
+            in_block: vec![0],
+            level_off: vec![0, 1],
+            period_ceiling: f64::INFINITY,
+        };
+        let err = TransitionSkeleton::from_bytes(&crafted.to_bytes()).unwrap_err();
+        assert!(err.contains("out-of-range"), "{err}");
+    }
 }

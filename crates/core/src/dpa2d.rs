@@ -31,19 +31,7 @@ use spg::{Spg, StageId};
 
 use crate::common::{validated_with, Failure, Solution};
 
-/// Runs `DPA2D` on the physical grid and validates the result with
-/// row-first XY routing.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ea_core::solvers::Dpa2d` with an `Instance`"
-)]
-pub fn dpa2d(spg: &Spg, pf: &Platform, period: f64) -> Result<Solution, Failure> {
-    dpa2d_run(spg, pf, period, None)
-}
-
-/// `DPA2D` implementation behind both the deprecated free function and the
-/// [`crate::solvers::Dpa2d`] solver.
+/// `DPA2D` implementation behind the [`crate::solvers::Dpa2d`] solver.
 pub(crate) fn dpa2d_run(
     spg: &Spg,
     pf: &Platform,

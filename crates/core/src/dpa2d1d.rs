@@ -18,19 +18,7 @@ use spg::Spg;
 use crate::common::{validated_with, Failure, Solution};
 use crate::dpa2d::dpa2d_alloc;
 
-/// Runs `DPA2D1D`: `DPA2D` on a virtual `1 × pq` platform, snaked onto the
-/// physical grid.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ea_core::solvers::Dpa2d1d` with an `Instance`"
-)]
-pub fn dpa2d1d(spg: &Spg, pf: &Platform, period: f64) -> Result<Solution, Failure> {
-    dpa2d1d_run(spg, pf, period, None)
-}
-
-/// `DPA2D1D` implementation behind both the deprecated free function and
-/// the [`crate::solvers::Dpa2d1d`] solver.
+/// `DPA2D1D` implementation behind the [`crate::solvers::Dpa2d1d`] solver.
 pub(crate) fn dpa2d1d_run(
     spg: &Spg,
     pf: &Platform,

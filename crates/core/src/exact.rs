@@ -52,21 +52,6 @@ impl Default for ExactConfig {
     }
 }
 
-/// Finds the minimum-energy valid mapping by exhaustive search.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ea_core::solvers::Exact` with an `Instance`"
-)]
-pub fn exact(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    cfg: &ExactConfig,
-) -> Result<Solution, Failure> {
-    exact_run(spg, pf, period, cfg, &spg.topo_order())
-}
-
 /// Exhaustive search over a caller-provided topological stage order (the
 /// [`crate::solvers::Exact`] solver passes the instance's cached order).
 pub(crate) fn exact_run(
@@ -285,11 +270,10 @@ fn place_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dpa1d::{dpa1d_run, Dpa1dConfig};
+    use crate::dpa1d::{solve_fresh, Dpa1dConfig};
     use spg::{chain, parallel};
 
-    /// Non-deprecated local stand-in for the legacy free function (shadows
-    /// the glob import), so the tests exercise `exact_run` directly.
+    /// `exact_run` over the workload's own topological order.
     fn exact(
         spg: &Spg,
         pf: &Platform,
@@ -328,7 +312,7 @@ mod tests {
         let g = chain(&[0.5e9, 0.4e9, 0.3e9, 0.2e9], &[1e5, 2e5, 3e5]);
         let t = 1.0;
         let ex = exact(&g, &pf, t, &ExactConfig::default()).unwrap();
-        let dp = dpa1d_run(&g, &pf, t, &Dpa1dConfig::default(), None, None, None).unwrap();
+        let dp = solve_fresh(&g, &pf, t, &Dpa1dConfig::default()).unwrap();
         assert!(
             (ex.energy() - dp.energy()).abs() < 1e-9,
             "exact {} vs dpa1d {}",

@@ -34,17 +34,6 @@ use spg::{Spg, StageId};
 
 use crate::common::{better, validated_with, Failure, Solution};
 
-/// Runs `Greedy`: one wavefront pass per available speed, downgrade, keep
-/// the lowest-energy valid mapping.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ea_core::solvers::Greedy` with an `Instance` (skips provably infeasible speeds)"
-)]
-pub fn greedy(spg: &Spg, pf: &Platform, period: f64) -> Result<Solution, Failure> {
-    greedy_opts(spg, pf, period, true)
-}
-
 /// `Greedy` with the §5.2 speed-downgrade post-pass made optional, for the
 /// downgrade ablation experiment.
 pub fn greedy_opts(

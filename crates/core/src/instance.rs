@@ -300,10 +300,11 @@ impl Instance {
     ///   to need (see [`Instance::note_period_ceiling`]) — exact for
     ///   every period it [`TransitionSkeleton::serves`];
     /// * `Ok(None)` — neither the complete set nor any candidate bounded
-    ///   build fits `cfg.edge_cap`; callers fall back to per-period
-    ///   materialisation (also cached: failures are keyed by the cap —
-    ///   and, for bounded builds, the ceiling — they were attempted
-    ///   under, so only genuinely new requests re-run a build);
+    ///   build fits `cfg.edge_cap`; the solver then runs the fresh
+    ///   per-period walk, which stores no transitions (failures are
+    ///   cached too, keyed by the cap — and, for bounded builds, the
+    ///   ceiling — they were attempted under, so only genuinely new
+    ///   requests re-run a build);
     /// * `Err(_)` — lattice enumeration itself exceeded `cfg.ideal_cap`.
     pub fn transition_skeleton(
         &self,

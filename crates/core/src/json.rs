@@ -8,10 +8,9 @@
 //! shortest-roundtrip `Display`, which is deterministic — the property
 //! the campaign's byte-identical resume guarantee rests on.
 //!
-//! Lived in `ea_bench::json` until 0.6; promoted here so the serve
-//! daemon (and anything else below the benchmark harness) can speak the
-//! protocol without depending on the experiment crate. `ea_bench::json`
-//! remains as a deprecated re-export.
+//! It lives in the core, not the benchmark crate, so the serve daemon
+//! (and anything else below the benchmark harness) can speak the
+//! protocol without depending on the experiment crate.
 //!
 //! Strictness notes (the wire protocol relies on these):
 //!

@@ -28,24 +28,9 @@ use crate::common::{better, validated_with, Failure, Solution};
 /// procedure").
 pub const RANDOM_TRIALS: usize = 10;
 
-/// Runs the `Random` heuristic: best of [`RANDOM_TRIALS`] random draws.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ea_core::solvers::Random` with an `Instance`"
-)]
-pub fn random_heuristic(
-    spg: &Spg,
-    pf: &Platform,
-    period: f64,
-    seed: u64,
-) -> Result<Solution, Failure> {
-    random_trials(spg, pf, period, seed, RANDOM_TRIALS, None)
-}
-
-/// `Random` with an explicit trial count, behind both the deprecated free
-/// function and the [`crate::solvers::Random`] solver (which passes its
-/// session's cached route table).
+/// `Random` with an explicit trial count, behind the
+/// [`crate::solvers::Random`] solver (which passes its session's cached
+/// route table).
 pub(crate) fn random_trials(
     spg: &Spg,
     pf: &Platform,

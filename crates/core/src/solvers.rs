@@ -142,9 +142,9 @@ impl Solver for Dpa1d {
         let shared = inst
             .lattice(self.cfg.ideal_cap)
             .map_err(|e| crate::dpa1d::lattice_failure(&e))?;
-        // The period-independent transition skeleton, when the complete
-        // set fits the edge cap; `None` falls back to per-period
-        // materialisation inside `dpa1d_run`.
+        // The period-independent transition skeleton, when one serving
+        // this period fits the edge cap; `None` runs the fresh per-period
+        // walk inside `dpa1d_run`.
         let skeleton = inst.transition_skeleton(&self.cfg)?;
         let table = inst.route_table(RoutePolicy::Snake);
         crate::dpa1d::dpa1d_run(
@@ -152,9 +152,9 @@ impl Solver for Dpa1d {
             inst.platform(),
             inst.period(),
             &self.cfg,
-            Some(&shared),
+            &shared,
             skeleton.as_deref(),
-            Some(&table),
+            &table,
         )
     }
 }
@@ -288,41 +288,6 @@ mod tests {
             .collect();
         assert_eq!(names, ["Random", "Greedy", "DPA2D", "DPA1D", "DPA2D1D"]);
         assert_eq!(Exact::default().name(), "Exact");
-    }
-
-    #[test]
-    fn solvers_match_their_legacy_free_functions() {
-        #![allow(deprecated)]
-        let inst = small_instance();
-        let (g, pf, t) = (inst.spg().clone(), inst.platform().clone(), inst.period());
-        let ctx = SolveCtx::new(11);
-        let pairs: Vec<(Result<Solution, Failure>, Result<Solution, Failure>)> = vec![
-            (
-                Random::default().solve(&inst, &ctx),
-                crate::random_heuristic(&g, &pf, t, 11),
-            ),
-            (
-                Greedy::default().solve(&inst, &ctx),
-                crate::greedy(&g, &pf, t),
-            ),
-            (Dpa2d.solve(&inst, &ctx), crate::dpa2d(&g, &pf, t)),
-            (
-                Dpa1d::default().solve(&inst, &ctx),
-                crate::dpa1d(&g, &pf, t, &Dpa1dConfig::default()),
-            ),
-            (Dpa2d1d.solve(&inst, &ctx), crate::dpa2d1d(&g, &pf, t)),
-            (
-                Exact::default().solve(&inst, &ctx),
-                crate::exact(&g, &pf, t, &ExactConfig::default()),
-            ),
-        ];
-        for (new, old) in pairs {
-            match (new, old) {
-                (Ok(a), Ok(b)) => assert_eq!(a.energy(), b.energy()),
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("solver/legacy mismatch: {a:?} vs {b:?}"),
-            }
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Tests for the solver-session API (`Instance` / `Solver` /
 //! `SolverRegistry` / `Portfolio`): portfolio determinism across execution
-//! modes, registry round-trips, and equivalence of every `Solver::solve`
-//! against its legacy free function on the StreamIt suite.
+//! modes, registry round-trips, and equivalence of `DPA1D`'s skeleton
+//! path and fresh per-period walk on the StreamIt suite.
 
 use spg::{streamit_workflow, STREAMIT_SPECS};
 use spg_cmp::prelude::*;
@@ -78,95 +78,62 @@ fn registry_roundtrip() {
     assert!(reg.get("no-such-solver").is_none());
 }
 
-/// Each `Solver::solve` agrees with its legacy free function on the
-/// StreamIt suite: identical energies on success, failure on both sides
-/// otherwise (the shared-lattice and speed-floor optimisations must be
-/// behaviour-preserving).
+/// `DPA1D`'s two transition producers agree on the StreamIt suite: the
+/// cached-skeleton path and the fresh per-period walk return the same
+/// energy to the bit (and the same dominance telemetry), or the same
+/// failure. The fresh walk is forced by `edge_cap: 1` on a *separate*
+/// instance: `transition_skeleton` hands back any cached skeleton whatever
+/// the cap, so one shared instance would solve both legs off it.
 #[test]
-fn solvers_equal_legacy_free_functions_on_streamit() {
-    #![allow(deprecated)]
+fn dpa1d_skeleton_path_equals_fresh_walk_on_streamit() {
     let pf = Platform::paper(4, 4);
+    let skeleton = solvers::Dpa1d::default();
+    let walk = solvers::Dpa1d {
+        cfg: Dpa1dConfig {
+            edge_cap: 1,
+            ..Default::default()
+        },
+    };
+    let mut compared = 0usize;
     // A mix of low-elevation (DPA1D-tractable) and high-elevation
     // (DPA1D-failing) workflows.
     for idx in [1usize, 6, 7, 8, 9, 12] {
         let spec = &STREAMIT_SPECS[idx - 1];
         let g = streamit_workflow(spec, 2011);
         let t = period_for(&g);
-        let inst = Instance::new(g.clone(), pf.clone(), t);
+        let cached = Instance::new(g.clone(), pf.clone(), t);
+        let fresh = Instance::new(g, pf.clone(), t);
         let ctx = SolveCtx::new(2011);
-        type Case<'a> = (
-            &'a str,
-            Result<Solution, Failure>,
-            Result<Solution, Failure>,
-        );
-        let cases: Vec<Case> = vec![
-            (
-                "Random",
-                solvers::Random::default().solve(&inst, &ctx),
-                random_heuristic(&g, &pf, t, 2011),
-            ),
-            (
-                "Greedy",
-                solvers::Greedy::default().solve(&inst, &ctx),
-                greedy(&g, &pf, t),
-            ),
-            (
-                "DPA2D",
-                solvers::Dpa2d.solve(&inst, &ctx),
-                dpa2d(&g, &pf, t),
-            ),
-            (
-                "DPA1D",
-                solvers::Dpa1d::default().solve(&inst, &ctx),
-                dpa1d(&g, &pf, t, &Dpa1dConfig::default()),
-            ),
-            (
-                "DPA2D1D",
-                solvers::Dpa2d1d.solve(&inst, &ctx),
-                dpa2d1d(&g, &pf, t),
-            ),
-        ];
-        for (name, new, old) in cases {
-            match (new, old) {
-                (Ok(a), Ok(b)) => assert_eq!(
-                    a.energy(),
-                    b.energy(),
-                    "{}/{name}: solver energy diverges from legacy",
-                    spec.name
-                ),
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!(
-                    "{}/{name}: feasibility diverges (solver ok={}, legacy ok={})",
-                    spec.name,
-                    a.is_ok(),
-                    b.is_ok()
-                ),
-            }
+        let a = skeleton.solve(&cached, &ctx);
+        let b = walk.solve(&fresh, &ctx);
+        if let Ok(Some(_)) = cached.transition_skeleton(&skeleton.cfg) {
+            assert!(
+                fresh.transition_skeleton(&walk.cfg).unwrap().is_none(),
+                "{}: edge_cap 1 must leave no skeleton to serve",
+                spec.name
+            );
         }
-    }
-}
-
-/// `run_heuristic` (the deprecated shim) routes through the same solvers.
-#[test]
-#[allow(deprecated)]
-fn run_heuristic_shim_matches_solver() {
-    let pf = Platform::paper(2, 2);
-    let g = spg::chain(&[2e8; 6], &[1e4; 5]);
-    let t = 0.5;
-    let inst = Instance::new(g.clone(), pf.clone(), t);
-    for kind in ALL_HEURISTICS {
-        let via_shim = run_heuristic(kind, &g, &pf, t, 5);
-        let via_solver = kind.solver().solve(&inst, &SolveCtx::new(5));
-        match (via_shim, via_solver) {
-            (Ok(a), Ok(b)) => assert_eq!(a.energy(), b.energy(), "{kind}"),
-            (Err(_), Err(_)) => {}
+        match (a, b) {
+            (Ok(x), Ok(y)) => {
+                assert_eq!(
+                    x.energy().to_bits(),
+                    y.energy().to_bits(),
+                    "{}: fresh walk diverges from the skeleton path",
+                    spec.name
+                );
+                assert_eq!(x.prune, y.prune, "{}: telemetry diverges", spec.name);
+                compared += 1;
+            }
+            (Err(x), Err(y)) => assert_eq!(x, y, "{}", spec.name),
             (a, b) => panic!(
-                "{kind}: shim/solver disagree ({} vs {})",
+                "{}: feasibility diverges (skeleton ok={}, fresh ok={})",
+                spec.name,
                 a.is_ok(),
                 b.is_ok()
             ),
         }
     }
+    assert!(compared >= 2, "the suite must exercise both producers");
 }
 
 /// The probed instance reuses its caches and the portfolio wins with a

@@ -54,9 +54,8 @@
 //!                 bounds the artifact cache, --deadline-ms sets the
 //!                 default per-request budget, --cache-dir DIR persists
 //!                 artifacts across restarts (spilled write-behind,
-//!                 reloaded at boot), --no-batch disables the batched
-//!                 scheduler (per-request dispatch); blocks until a
-//!                 client sends {"op":"shutdown"}
+//!                 reloaded at boot); blocks until a client sends
+//!                 {"op":"shutdown"}
 //!                 (see docs/serve-protocol.md)
 //!   client        Scripted serve-protocol session: connects to --socket/
 //!                 --tcp and sends each --request JSON in order, printing
@@ -124,7 +123,7 @@ const USAGE: &str = "usage: xp <command> [--seed N] [--apps-per-point N] [--exac
                      [--input FILE]... [--bench FILE]... [--tolerance F] \
                      [--points N] [--size N] [--suite streamit|prune|incremental] \
                      [--faults N] [--socket PATH] [--tcp ADDR] [--cache-bytes N] \
-                     [--cache-dir DIR] [--no-batch] [--deadline-ms N] \
+                     [--cache-dir DIR] [--deadline-ms N] \
                      [--clients N] [--requests N] [--request JSON]...
 commands: table1 fig8 fig9 table2 fig10 fig11 fig12 fig13 table3 exact
           ablation-routing ablation-downgrade ablation-ebit
@@ -167,8 +166,6 @@ struct Opts {
     cache_bytes: Option<usize>,
     /// Cache-persistence directory for `serve` (`--cache-dir`).
     cache_dir: Option<PathBuf>,
-    /// Disable the batched scheduler in `serve` (`--no-batch`).
-    no_batch: bool,
     /// Default per-request deadline for `serve` (`--deadline-ms`).
     deadline_ms: Option<u64>,
     /// Concurrent load-generator clients for `serve-bench` (`--clients`;
@@ -219,7 +216,7 @@ fn parse_opts(rest: &[String]) -> Opts {
         seed: 2011,
         apps_per_point: 100,
         exact_count: 30,
-        solvers: ea_bench::default_solvers(),
+        solvers: ea_core::solvers::default_heuristics(),
         solvers_raw: None,
         topology: TopologyKind::Mesh,
         topology_explicit: false,
@@ -238,7 +235,6 @@ fn parse_opts(rest: &[String]) -> Opts {
         tcp: None,
         cache_bytes: None,
         cache_dir: None,
-        no_batch: false,
         deadline_ms: None,
         clients: 0,
         requests: 32,
@@ -373,9 +369,6 @@ fn parse_opts(rest: &[String]) -> Opts {
             }
             "--cache-dir" => {
                 opts.cache_dir = Some(PathBuf::from(value(&mut i, flag)));
-            }
-            "--no-batch" => {
-                opts.no_batch = true;
             }
             "--deadline-ms" => {
                 opts.deadline_ms = Some(
@@ -771,17 +764,14 @@ const DEFAULT_SOCKET: &str = "xp-serve.sock";
 
 /// Builds the daemon config from the serve flags.
 fn serve_config(opts: &Opts) -> ea_core::ServeConfig {
-    let mut cfg = ea_core::ServeConfig {
+    let defaults = ea_core::ServeConfig::default();
+    ea_core::ServeConfig {
+        cache_bytes: opts.cache_bytes.unwrap_or(defaults.cache_bytes),
+        default_deadline_ms: opts.deadline_ms,
         default_seed: opts.seed,
-        ..Default::default()
-    };
-    if let Some(bytes) = opts.cache_bytes {
-        cfg.cache_bytes = bytes;
+        cache_dir: opts.cache_dir.clone(),
+        ..defaults
     }
-    cfg.default_deadline_ms = opts.deadline_ms;
-    cfg.cache_dir = opts.cache_dir.clone();
-    cfg.batching = !opts.no_batch;
-    cfg
 }
 
 fn serve_cmd(opts: &Opts) {

@@ -34,6 +34,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::net::SocketAddr;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
@@ -276,17 +277,37 @@ pub fn serve_bench(seed: u64) -> Result<ServeBench, String> {
     Ok(bench)
 }
 
-/// The serialized warm/cold phase: boot, drive the suite with one client,
-/// read `stats`, shut down, join.
-fn serialized_phase(seed: u64) -> Result<ServeBench, String> {
-    let server = Server::bind_tcp("127.0.0.1:0", ServeConfig::default())
-        .map_err(|e| format!("bind: {e}"))?;
+/// Boots a daemon with `cfg` on a loopback TCP port, runs `clients`
+/// against its address, then stops and joins it. The wire `shutdown` a
+/// client sends only fires on its success path, so the flag is flipped
+/// here unconditionally: a connect/request/stats error still stops the
+/// daemon instead of leaving the join blocked forever. A daemon error
+/// (the accept loop failed, or its thread panicked) wins over the
+/// clients' result.
+fn with_loopback_daemon<T>(
+    cfg: ServeConfig,
+    clients: impl FnOnce(SocketAddr) -> Result<T, String>,
+) -> Result<T, String> {
+    let server = Server::bind_tcp("127.0.0.1:0", cfg).map_err(|e| format!("bind: {e}"))?;
     let addr = server
         .local_addr()
         .ok_or_else(|| "server has no local address".to_string())?;
     let service = server.service();
     let handle = std::thread::spawn(move || server.run());
-    let run = (|| -> Result<ServeBench, String> {
+    let run = clients(addr);
+    service.request_shutdown();
+    match handle.join() {
+        Ok(Ok(())) => {}
+        Ok(Err(e)) => return Err(format!("server exited with error: {e}")),
+        Err(_) => return Err("server thread panicked".to_string()),
+    }
+    run
+}
+
+/// The serialized warm/cold phase: boot, drive the suite with one client,
+/// read `stats`, shut down, join.
+fn serialized_phase(seed: u64) -> Result<ServeBench, String> {
+    with_loopback_daemon(ServeConfig::default(), |addr| {
         let mut client = Client::connect_tcp(addr).map_err(|e| format!("connect: {e}"))?;
         let mut flows = Vec::with_capacity(STREAMIT_SPECS.len());
         for spec in &STREAMIT_SPECS {
@@ -354,17 +375,7 @@ fn serialized_phase(seed: u64) -> Result<ServeBench, String> {
         };
         client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
         Ok(bench)
-    })();
-    // The wire `shutdown` only fires on the success path; flip the flag
-    // unconditionally so a connect/request/stats error still stops the
-    // daemon instead of leaving join() blocked forever.
-    service.request_shutdown();
-    match handle.join() {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => return Err(format!("server exited with error: {e}")),
-        Err(_) => return Err("server thread panicked".to_string()),
-    }
-    run
+    })
 }
 
 /// One daemon mode's throughput run: per-`(flow, round)` energy bits
@@ -381,13 +392,7 @@ fn throughput_mode(seed: u64, batching: bool) -> Result<ModeRun, String> {
         batching,
         ..ServeConfig::default()
     };
-    let server = Server::bind_tcp("127.0.0.1:0", cfg).map_err(|e| format!("bind: {e}"))?;
-    let addr = server
-        .local_addr()
-        .ok_or_else(|| "server has no local address".to_string())?;
-    let service = server.service();
-    let handle = std::thread::spawn(move || server.run());
-    let run = (|| -> Result<ModeRun, String> {
+    with_loopback_daemon(cfg, |addr| {
         let barrier = Arc::new(Barrier::new(THROUGHPUT_CLIENTS + 1));
         type ClientRows = Result<Vec<((String, u64), Option<u64>)>, String>;
         let workers: Vec<_> = (0..THROUGHPUT_CLIENTS)
@@ -479,14 +484,7 @@ fn throughput_mode(seed: u64, batching: bool) -> Result<ModeRun, String> {
             wall_s,
             sched,
         })
-    })();
-    service.request_shutdown();
-    match handle.join() {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => return Err(format!("server exited with error: {e}")),
-        Err(_) => return Err("server thread panicked".to_string()),
-    }
-    run
+    })
 }
 
 /// The concurrent comparison: the same client fleet against a batching

@@ -186,8 +186,9 @@ impl From<Vec<Json>> for Json {
     }
 }
 
-/// Builds a [`Json::Obj`] from `(key, value)` pairs.
-pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+/// Builds a [`Json::Obj`] from `(key, value)` pairs (an array, a `Vec`,
+/// or any other iterator of them).
+pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
     Json::Obj(
         fields
             .into_iter()

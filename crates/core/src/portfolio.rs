@@ -183,48 +183,26 @@ impl Portfolio {
         self.solvers.iter().map(|s| s.name().to_string()).collect()
     }
 
-    /// Runs the portfolio on one instance.
+    /// Runs the portfolio on one instance: a batch of one
+    /// ([`Portfolio::run_batch`]), except that [`Race::FirstFeasible`]
+    /// without the fan-out stops at the first success.
     pub fn run(&self, inst: &Instance) -> PortfolioReport {
-        let started = Instant::now();
-        let deadline = self.budget.and_then(|b| started.checked_add(b));
-        let run_one = |s: &Arc<dyn Solver>| -> SolverRun {
-            let seed = solver_seed(self.seed, s.name());
-            let ctx = SolveCtx {
-                seed,
-                deadline,
-                anytime: self.anytime,
-            };
-            let t0 = Instant::now();
-            let result = s.solve(inst, &ctx);
-            SolverRun {
-                name: s.name().to_string(),
-                seed,
-                result,
-                wall: t0.elapsed(),
-            }
-        };
-
-        let runs: Vec<SolverRun> = if self.race == Race::FirstFeasible && !self.parallel {
-            // Short-circuit: stop at the first success.
+        if self.race == Race::FirstFeasible && !self.parallel {
+            let started = Instant::now();
+            let deadline = self.deadline(started);
             let mut runs = Vec::new();
             for s in &self.solvers {
-                let r = run_one(s);
+                let r = self.run_one(s.as_ref(), inst, deadline);
                 let done = r.result.is_ok();
                 runs.push(r);
                 if done {
                     break;
                 }
             }
-            runs
-        } else if self.parallel && self.solvers.len() > 1 && rayon::current_num_threads() > 1 {
-            // With one worker the fan-out would only add dispatch overhead
-            // and buffer shuffling; the plain loop is strictly better.
-            self.solvers.par_iter().map(run_one).collect()
-        } else {
-            self.solvers.iter().map(run_one).collect()
-        };
-
-        self.finish_runs(inst, runs, started)
+            return self.finish_runs(inst, runs, started);
+        }
+        let mut reports = Portfolio::run_batch(&[(self, inst)]);
+        reports.pop().expect("a batch of one yields one report")
     }
 
     /// Runs several `(portfolio, instance)` jobs as **one** fan-out wave:
@@ -235,56 +213,39 @@ impl Portfolio {
     ///
     /// Each job's report is **identical to what its own
     /// [`Portfolio::run`] would produce** (same per-solver seeds, same
-    /// anytime-rescue and winner rules — the tail is literally shared
-    /// code), with two deliberate deviations that cannot move energies:
-    /// wall times reflect the batch, and every job's deadline anchors at
-    /// the batch start rather than its own `run` call (callers that care
-    /// pre-anchor the budget at request arrival).
+    /// anytime-rescue and winner rules — `run` is a batch of one), with
+    /// two deliberate deviations that cannot move energies: wall times
+    /// reflect the batch, and every job's deadline anchors at the batch
+    /// start rather than its own `run` call (callers that care pre-anchor
+    /// the budget at request arrival).
     ///
     /// [`Race::FirstFeasible`]'s sequential short-circuit does not apply
     /// — all solvers run, as in any parallel mode, and the winner is
     /// unchanged.
     pub fn run_batch(jobs: &[(&Portfolio, &Instance)]) -> Vec<PortfolioReport> {
         let started = Instant::now();
-        let deadlines: Vec<Option<Instant>> = jobs
-            .iter()
-            .map(|(p, _)| p.budget.and_then(|b| started.checked_add(b)))
-            .collect();
+        let deadlines: Vec<Option<Instant>> =
+            jobs.iter().map(|(p, _)| p.deadline(started)).collect();
         // Flatten to (job, solver) pairs; par_iter preserves input order,
         // so regrouping by job index restores portfolio order exactly.
-        let tasks: Vec<(usize, usize)> = jobs
+        let tasks: Vec<(usize, &Arc<dyn Solver>)> = jobs
             .iter()
             .enumerate()
-            .flat_map(|(j, (p, _))| (0..p.solvers.len()).map(move |s| (j, s)))
+            .flat_map(|(j, (p, _))| p.solvers.iter().map(move |s| (j, s)))
             .collect();
-        let run_one = |&(j, s): &(usize, usize)| -> (usize, SolverRun) {
+        let run = |&(j, s): &(usize, &Arc<dyn Solver>)| {
             let (p, inst) = jobs[j];
-            let solver = &p.solvers[s];
-            let seed = solver_seed(p.seed, solver.name());
-            let ctx = SolveCtx {
-                seed,
-                deadline: deadlines[j],
-                anytime: p.anytime,
-            };
-            let t0 = Instant::now();
-            let result = solver.solve(inst, &ctx);
-            (
-                j,
-                SolverRun {
-                    name: solver.name().to_string(),
-                    seed,
-                    result,
-                    wall: t0.elapsed(),
-                },
-            )
+            (j, p.run_one(s.as_ref(), inst, deadlines[j]))
         };
+        // With one worker the fan-out would only add dispatch overhead and
+        // buffer shuffling; the plain loop is strictly better.
         let parallel = jobs.iter().any(|(p, _)| p.parallel)
             && tasks.len() > 1
             && rayon::current_num_threads() > 1;
         let flat: Vec<(usize, SolverRun)> = if parallel {
-            tasks.par_iter().map(run_one).collect()
+            tasks.par_iter().map(run).collect()
         } else {
-            tasks.iter().map(run_one).collect()
+            tasks.iter().map(run).collect()
         };
         let mut per_job: Vec<Vec<SolverRun>> = jobs.iter().map(|_| Vec::new()).collect();
         for (j, run) in flat {
@@ -296,10 +257,39 @@ impl Portfolio {
             .collect()
     }
 
-    /// The shared tail of [`Portfolio::run`] and [`Portfolio::run_batch`]:
-    /// anytime rescue, winner selection, report assembly. Keeping this in
-    /// one place is what makes batched reports bit-identical to unbatched
-    /// ones.
+    /// The wall-clock deadline of a run started at `started`.
+    fn deadline(&self, started: Instant) -> Option<Instant> {
+        self.budget.and_then(|b| started.checked_add(b))
+    }
+
+    /// One solver's turn: the only place a portfolio calls
+    /// [`Solver::solve`]. Builds the context (seed mixed per solver name),
+    /// times the call, and names the run.
+    fn run_one(
+        &self,
+        solver: &dyn Solver,
+        inst: &Instance,
+        deadline: Option<Instant>,
+    ) -> SolverRun {
+        let seed = solver_seed(self.seed, solver.name());
+        let ctx = SolveCtx {
+            seed,
+            deadline,
+            anytime: self.anytime,
+        };
+        let t0 = Instant::now();
+        let result = solver.solve(inst, &ctx);
+        SolverRun {
+            name: solver.name().to_string(),
+            seed,
+            result,
+            wall: t0.elapsed(),
+        }
+    }
+
+    /// The shared tail of every run: anytime rescue, winner selection,
+    /// report assembly. Keeping this in one place is what makes batched
+    /// reports bit-identical to unbatched ones.
     fn finish_runs(
         &self,
         inst: &Instance,
@@ -311,15 +301,16 @@ impl Portfolio {
                 .iter()
                 .any(|r| matches!(r.result, Err(Failure::TooExpensive(_))));
         if self.anytime && starved {
-            runs.push(self.anytime_rescue(inst));
+            runs.push(self.run_one(&AnytimeRescue, inst, None));
         }
 
         let best = match self.race {
+            // A NaN energy (either sign) loses to every number.
             Race::BestEnergy => runs
                 .iter()
                 .enumerate()
                 .filter_map(|(i, r)| r.energy().map(|e| (i, e)))
-                .min_by(|(_, a), (_, b)| a.total_cmp(b))
+                .min_by(|(_, a), (_, b)| a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(b)))
                 .map(|(i, _)| i),
             Race::FirstFeasible => runs.iter().position(|r| r.result.is_ok()),
         };
@@ -329,34 +320,26 @@ impl Portfolio {
             wall: started.elapsed(),
         }
     }
+}
 
-    /// The anytime rescue run: un-budgeted `Greedy`, with the gap to the
-    /// instance's certified energy lower bound stamped as `bound_gap`
-    /// (`E_rescue − bound_gap ≤ E_opt ≤ E_rescue`).
-    fn anytime_rescue(&self, inst: &Instance) -> SolverRun {
-        use crate::common::PruneStats;
-        let name = "Anytime(Greedy)";
-        let seed = solver_seed(self.seed, name);
-        let ctx = SolveCtx {
-            seed,
-            anytime: true,
+/// The anytime rescue run: un-budgeted `Greedy`, with the gap to the
+/// instance's certified energy lower bound stamped as `bound_gap`
+/// (`E_rescue − bound_gap ≤ E_opt ≤ E_rescue`).
+struct AnytimeRescue;
+
+impl Solver for AnytimeRescue {
+    fn name(&self) -> &str {
+        "Anytime(Greedy)"
+    }
+
+    fn solve(&self, inst: &Instance, ctx: &SolveCtx) -> Result<Solution, Failure> {
+        let mut sol = crate::solvers::Greedy::default().solve(inst, ctx)?;
+        let gap = (sol.energy() - inst.energy_lower_bound()).max(0.0);
+        sol.prune = Some(crate::common::PruneStats {
+            bound_gap: gap,
             ..Default::default()
-        };
-        let t0 = Instant::now();
-        let mut result = crate::solvers::Greedy::default().solve(inst, &ctx);
-        if let Ok(sol) = &mut result {
-            let gap = (sol.energy() - inst.energy_lower_bound()).max(0.0);
-            sol.prune = Some(PruneStats {
-                bound_gap: gap,
-                ..Default::default()
-            });
-        }
-        SolverRun {
-            name: name.to_string(),
-            seed,
-            result,
-            wall: t0.elapsed(),
-        }
+        });
+        Ok(sol)
     }
 }
 
@@ -528,6 +511,68 @@ mod tests {
             "Anytime(Greedy)",
             "rescue applies inside run_batch"
         );
+    }
+
+    #[test]
+    fn portfolio_runs_all_five() {
+        let i = Instance::new(chain(&[1e6; 5], &[1e3; 4]), Platform::paper(2, 2), 1.0);
+        let report = Portfolio::heuristics().run(&i);
+        assert_eq!(
+            report
+                .runs
+                .iter()
+                .map(|r| r.name.as_str())
+                .collect::<Vec<_>>(),
+            ["Random", "Greedy", "DPA2D", "DPA1D", "DPA2D1D"]
+        );
+        // Loose period: every heuristic should succeed on a small chain.
+        for r in &report.runs {
+            assert!(
+                r.result.is_ok(),
+                "{} failed: {:?}",
+                r.name,
+                r.result.as_ref().err()
+            );
+        }
+        assert!(report.best_energy().unwrap() > 0.0);
+    }
+
+    /// Greedy's mapping with its energy overwritten: a real solution whose
+    /// evaluation reports `energy`.
+    struct FixedEnergy(&'static str, f64);
+
+    impl Solver for FixedEnergy {
+        fn name(&self) -> &str {
+            self.0
+        }
+
+        fn solve(&self, inst: &Instance, ctx: &SolveCtx) -> Result<Solution, Failure> {
+            let mut sol = crate::solvers::Greedy::default().solve(inst, ctx)?;
+            sol.eval.energy = self.1;
+            Ok(sol)
+        }
+    }
+
+    #[test]
+    fn best_energy_is_nan_safe() {
+        let i = inst();
+        let stub = |name, e| Arc::new(FixedEnergy(name, e)) as Arc<dyn Solver>;
+        // A NaN energy of either sign must not panic and must lose to the
+        // finite value, wherever it sits in the portfolio.
+        for nan in [f64::NAN, -f64::NAN] {
+            for solvers in [
+                vec![stub("nan", nan), stub("two", 2.0)],
+                vec![stub("two", 2.0), stub("nan", nan)],
+            ] {
+                let report = Portfolio::new(solvers).run(&i);
+                assert_eq!(report.best_run().unwrap().name, "two");
+                assert_eq!(report.best_energy(), Some(2.0));
+            }
+        }
+        // A lone NaN is still the only success, so it wins.
+        let report = Portfolio::new(vec![stub("nan", f64::NAN)]).run(&i);
+        assert!(report.best_energy().unwrap().is_nan());
+        assert_eq!(Portfolio::new(Vec::new()).run(&i).best_energy(), None);
     }
 
     #[test]

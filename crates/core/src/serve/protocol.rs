@@ -357,11 +357,11 @@ pub enum PeriodReq {
 
 impl PeriodReq {
     /// Decodes the `"period"` / `"utilisation"` members (exactly one must
-    /// be present and positive).
+    /// be present, and it must be a positive number).
     pub fn from_json(v: &Json) -> Result<PeriodReq, String> {
         match (
-            v.get("period").and_then(Json::as_f64),
-            v.get("utilisation").and_then(Json::as_f64),
+            opt(v, "period", "a number", Json::as_f64)?,
+            opt(v, "utilisation", "a number", Json::as_f64)?,
         ) {
             (Some(t), None) if t > 0.0 => Ok(PeriodReq::Period(t)),
             (None, Some(u)) if u > 0.0 && u <= 1.0 => Ok(PeriodReq::Utilisation(u)),
@@ -449,10 +449,10 @@ pub fn parse_request(v: &Json) -> Result<Request, String> {
                 workload,
                 platform: platform_from_json(v.get("platform"))?,
                 period: PeriodReq::from_json(v)?,
-                solvers: v.get("solvers").and_then(Json::as_str).map(String::from),
+                solvers: opt(v, "solvers", "a string", |j| j.as_str().map(String::from))?,
                 seed: opt_u64(v, "seed")?,
                 deadline_ms: opt_u64(v, "deadline_ms")?,
-                anytime: opt_bool(v, "anytime")?.unwrap_or(false),
+                anytime: opt(v, "anytime", "a boolean", Json::as_bool)?.unwrap_or(false),
             }))
         }
         "sweep" => {
@@ -482,10 +482,10 @@ pub fn parse_request(v: &Json) -> Result<Request, String> {
                 platform: platform_from_json(v.get("platform"))?,
                 over_utilisation,
                 values,
-                solvers: v.get("solvers").and_then(Json::as_str).map(String::from),
+                solvers: opt(v, "solvers", "a string", |j| j.as_str().map(String::from))?,
                 seed: opt_u64(v, "seed")?,
                 deadline_ms: opt_u64(v, "deadline_ms")?,
-                anytime: opt_bool(v, "anytime")?.unwrap_or(false),
+                anytime: opt(v, "anytime", "a boolean", Json::as_bool)?.unwrap_or(false),
             }))
         }
         other => Err(format!(
@@ -570,24 +570,26 @@ pub fn failure_response(f: &Failure) -> Json {
     }
 }
 
-fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(j) => match j.as_f64() {
-            Some(x) if x >= 0.0 && x.fract() == 0.0 && x <= u64::MAX as f64 => Ok(Some(x as u64)),
-            _ => Err(format!("\"{key}\" must be a non-negative integer")),
-        },
-    }
+/// Decodes an optional member: absent is `None`; present, it must be
+/// something `decode` accepts (`what` names it in the error).
+fn opt<T>(
+    v: &Json,
+    key: &str,
+    what: &str,
+    decode: impl FnOnce(&Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    v.get(key)
+        .map(|j| decode(j).ok_or_else(|| format!("\"{key}\" must be {what}")))
+        .transpose()
 }
 
-fn opt_bool(v: &Json, key: &str) -> Result<Option<bool>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(j) => j
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| format!("\"{key}\" must be a boolean")),
-    }
+fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
+    // `u64::MAX as f64` rounds up to 2^64, which is out of range.
+    opt(v, key, "a non-negative integer", |j| {
+        j.as_f64()
+            .filter(|&x| x >= 0.0 && x.fract() == 0.0 && x < u64::MAX as f64)
+            .map(|x| x as u64)
+    })
 }
 
 fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
@@ -790,6 +792,29 @@ mod tests {
         assert!(
             parse(r#"{"op":"sweep","workload":{"streamit":"FFT"},"values":[0.2,1.5]}"#).is_err(),
             "utilisation grid values above 1 are rejected"
+        );
+        // Malformed members are rejected, never clamped or ignored.
+        assert!(
+            parse(r#"{"op":"solve","workload":{"streamit":"FFT"},"period":1,"seed":18446744073709551616}"#)
+                .unwrap_err()
+                .contains("seed"),
+            "2^64 does not fit a u64 seed"
+        );
+        assert!(
+            parse(
+                r#"{"op":"solve","workload":{"streamit":"FFT"},"period":1,"solvers":["greedy"]}"#
+            )
+            .unwrap_err()
+            .contains("solvers"),
+            "a non-string solver list must not fall back to the defaults"
+        );
+        assert!(
+            parse(
+                r#"{"op":"solve","workload":{"streamit":"FFT"},"period":"fast","utilisation":0.5}"#
+            )
+            .unwrap_err()
+            .contains("period"),
+            "a non-numeric period must not be dropped"
         );
     }
 

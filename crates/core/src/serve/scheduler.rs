@@ -85,8 +85,9 @@ pub(crate) enum Admission {
         /// Queue depth at decision time.
         queue_depth: u64,
     },
-    /// The scheduler has drained and exited (shutdown): the caller runs
-    /// the job inline so no request is ever lost to the race.
+    /// No scheduler will drain the queue — it has drained and exited
+    /// (shutdown), or never ran (`batching: false`): the caller runs the
+    /// job inline, so no request is ever lost.
     Draining(Box<SolveJob>),
 }
 
@@ -112,8 +113,9 @@ pub(crate) struct SolveQueue {
     cap: usize,
     queue: Mutex<VecDeque<SolveJob>>,
     available: Condvar,
-    /// Set once the scheduler thread has drained and exited; admits after
-    /// this point bounce back to the caller as [`Admission::Draining`].
+    /// Set once the scheduler thread has drained and exited (or from the
+    /// start, without one); admits after this point bounce back to the
+    /// caller as [`Admission::Draining`].
     closed: AtomicBool,
     /// Set by shutdown to tell the scheduler thread to drain and exit.
     closing: AtomicBool,
@@ -143,6 +145,15 @@ impl SolveQueue {
             deduped: AtomicU64::new(0),
             shed: AtomicU64::new(0),
         }
+    }
+
+    /// A queue no scheduler drains: it starts closed, so every admit
+    /// bounces as [`Admission::Draining`] and the caller solves inline.
+    pub fn without_scheduler() -> Self {
+        let q = SolveQueue::new(0);
+        q.closing.store(true, Ordering::SeqCst);
+        q.closed.store(true, Ordering::SeqCst);
+        q
     }
 
     /// Applies admission control and enqueues on success. The predicted
@@ -339,6 +350,18 @@ mod tests {
         assert_eq!(s.queue_depth, 0);
         assert_eq!(q.queued_est_ns.load(Ordering::Relaxed), 0);
         assert_eq!(q.inflight_est_ns.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_queue_without_scheduler_bounces_every_admit() {
+        let q = SolveQueue::without_scheduler();
+        // Even a request admission control would shed goes inline: there
+        // is no queue wait to predict.
+        for deadline in [None, Some(0)] {
+            let (j, _rx) = job(5_000_000, deadline);
+            assert!(matches!(q.admit(j), Admission::Draining(_)));
+        }
+        assert_eq!(q.stats(), SchedulerStats::default());
     }
 
     #[test]

@@ -18,7 +18,13 @@
 //! (structured `overloaded` frame with `retry_after_ms`) when the
 //! predicted queue wait would blow the request's deadline. `sweep`
 //! requests keep the direct path — they are already one long batch
-//! internally — as does every solve when `batching` is disabled.
+//! internally.
+//!
+//! With [`ServeConfig::batching`] off, the queue starts closed and no
+//! scheduler drains it: every admit bounces, and the connection thread
+//! solves inline through the same code a solve that races past shutdown
+//! runs. That is the per-request baseline of the
+//! `serve/batched_throughput` gate.
 //!
 //! ## Cache persistence
 //!
@@ -59,10 +65,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use cmp_platform::Platform;
+
 use crate::instance::Instance;
 use crate::json::{obj, Json};
 use crate::portfolio::{Portfolio, PortfolioReport};
-use crate::solver::SolverRegistry;
+use crate::solver::{Solver, SolverRegistry};
 
 use super::cache::{Artifact, ArtifactCache, ArtifactKey, CacheStats};
 use super::fingerprint::{
@@ -72,7 +80,7 @@ use super::fingerprint::{
 use super::histogram::LatencyHistogram;
 use super::protocol::{
     error_response, failure_response, ok_response, overloaded_response, parse_request, write_frame,
-    FrameReader, PeriodReq, Request, SolveReq, SweepReq,
+    FrameReader, PeriodReq, Request, SolveReq, SweepReq, WorkloadReq,
 };
 use super::scheduler::{Admission, SchedulerStats, SolveJob, SolveQueue};
 use super::spill::{self, SpillStats};
@@ -93,12 +101,9 @@ pub struct ServeConfig {
     /// warm. `None` disables persistence.
     pub cache_dir: Option<PathBuf>,
     /// Route solves through the batched scheduler (on by default).
-    /// Disabling it restores dispatch-per-connection-thread — useful only
-    /// for comparison benchmarks.
+    /// `false` is the per-request baseline of `serve/batched_throughput`:
+    /// each solve runs inline on its connection thread.
     pub batching: bool,
-    /// Bound on queued solve jobs; admits beyond it are shed with an
-    /// `overloaded` frame.
-    pub queue_cap: usize,
 }
 
 impl Default for ServeConfig {
@@ -109,10 +114,13 @@ impl Default for ServeConfig {
             default_seed: 2011,
             cache_dir: None,
             batching: true,
-            queue_cap: 1024,
         }
     }
 }
+
+/// Bound on queued solve jobs; admits beyond it are shed with an
+/// `overloaded` frame.
+const QUEUE_CAP: usize = 1024;
 
 /// How often idle connection reads and the accept loop re-check the
 /// shutdown flag.
@@ -157,8 +165,19 @@ impl Service {
     /// directory, in which case every loadable artifact is re-seeded
     /// (through the normal insert path, so hit/miss counters stay zero).
     /// With [`ServeConfig::batching`] on, this also spawns the scheduler
-    /// thread.
+    /// thread; off, the queue starts closed and every solve runs inline.
     pub fn new(cfg: ServeConfig) -> Self {
+        let queue = if cfg.batching {
+            SolveQueue::new(QUEUE_CAP)
+        } else {
+            SolveQueue::without_scheduler()
+        };
+        Service::with_queue(cfg, queue)
+    }
+
+    /// [`Service::new`] over an explicit queue (tests reach a
+    /// zero-capacity queue through this).
+    pub(crate) fn with_queue(cfg: ServeConfig, queue: SolveQueue) -> Self {
         let mut cache = ArtifactCache::new(cfg.cache_bytes);
         let mut spill_stats = SpillStats::default();
         if let Some(dir) = &cfg.cache_dir {
@@ -167,12 +186,12 @@ impl Service {
             }
             spill_stats = spill::load_dir(dir, &mut cache);
         }
-        let (queue_cap, batching) = (cfg.queue_cap, cfg.batching);
+        let batching = cfg.batching;
         let core = Arc::new(ServiceCore {
             cfg,
             registry: SolverRegistry::with_defaults(),
             cache: Mutex::new(cache),
-            queue: SolveQueue::new(queue_cap),
+            queue,
             shutdown: std::sync::atomic::AtomicBool::new(false),
             requests: AtomicU64::new(0),
             bad_requests: AtomicU64::new(0),
@@ -188,17 +207,13 @@ impl Service {
             prune_frontier_max: AtomicU64::new(0),
             prune_bound_gap_max: AtomicU64::new(0.0_f64.to_bits()),
         });
-        let worker = if batching {
+        let worker = batching.then(|| {
             let w = Arc::clone(&core);
-            Some(
-                std::thread::Builder::new()
-                    .name("xp-serve-scheduler".into())
-                    .spawn(move || w.scheduler_loop())
-                    .expect("spawn the scheduler thread"),
-            )
-        } else {
-            None
-        };
+            std::thread::Builder::new()
+                .name("xp-serve-scheduler".into())
+                .spawn(move || w.scheduler_loop())
+                .expect("spawn the scheduler thread")
+        });
         Service {
             core,
             worker: Mutex::new(worker),
@@ -224,16 +239,50 @@ impl Drop for Service {
     }
 }
 
-/// A solve ready to run: the cache-seeded instance plus the configured
-/// portfolio, with the hit bookkeeping the response frame reports. The
-/// split lets the batched and direct paths share all preparation and
-/// response code (which is what keeps their energies bit-identical).
-struct PreparedSolve {
+/// A request's instance, warm-seeded from the cache, with the probe
+/// bookkeeping its response reports and its harvest needs. Solves and
+/// sweeps share it, so both settle the same way.
+struct Seeded {
     inst: Instance,
+    /// The lattice, complete-skeleton and route keys.
     keys: [ArtifactKey; 3],
+    /// Which of `keys` hit.
     hits: [bool; 3],
+    /// A missed route table was derived by patching a cached healthy
+    /// sibling.
     route_patched: bool,
+    /// A cached bounded skeleton stood in for the missed complete one.
     bounded_hit: bool,
+}
+
+impl Seeded {
+    /// Whether every artifact came from the cache (a patched route table
+    /// and a bounded skeleton count).
+    fn warm(&self) -> bool {
+        self.hits[0] && (self.hits[1] || self.bounded_hit) && (self.hits[2] || self.route_patched)
+    }
+
+    /// The cache key of a bounded skeleton built under `ceiling`.
+    fn bounded_key(&self, ceiling: f64) -> ArtifactKey {
+        let ArtifactKey::Skeleton {
+            workload, platform, ..
+        } = self.keys[1]
+        else {
+            unreachable!("keys[1] is the skeleton key");
+        };
+        ArtifactKey::Skeleton {
+            workload,
+            platform,
+            ceiling: ceiling.to_bits(),
+        }
+    }
+}
+
+/// A solve ready to run: the cache-seeded instance plus the configured
+/// portfolio. The batched and inline paths share all preparation and
+/// response code, which is what keeps their energies bit-identical.
+struct PreparedSolve {
+    seeded: Seeded,
     portfolio: Portfolio,
 }
 
@@ -441,27 +490,31 @@ impl ServiceCore {
         ])
     }
 
-    /// Resolves a request's solver CSV against the registry (`None` = the
-    /// paper's five heuristics).
-    fn solvers_for(
+    /// Instantiates a request's workload and resolves its solver CSV
+    /// against the registry (`None` = the paper's five heuristics). Errors
+    /// are `bad_request` material.
+    fn resolve(
         &self,
-        csv: Option<&str>,
-    ) -> Result<Vec<Arc<dyn crate::solver::Solver>>, String> {
-        match csv {
-            Some(csv) => self.registry.parse_list(csv),
-            None => Ok(crate::solvers::default_heuristics()),
-        }
+        workload: &WorkloadReq,
+        solvers: Option<&str>,
+    ) -> Result<(spg::Spg, Vec<Arc<dyn Solver>>), String> {
+        let workload = workload.instantiate()?;
+        let solvers = match solvers {
+            Some(csv) => self.registry.parse_list(csv)?,
+            None => crate::solvers::default_heuristics(),
+        };
+        Ok((workload, solvers))
     }
 
-    /// The three cache keys a solve request probes, with fault-aware
-    /// keying (see [`ServiceCore::seeded_instance`]).
-    fn request_keys(workload: &spg::Spg, req: &SolveReq) -> [ArtifactKey; 3] {
+    /// The three cache keys a request probes, with fault-aware keying
+    /// (see [`ServiceCore::seeded_instance`]).
+    fn request_keys(workload: &spg::Spg, platform: &Platform) -> [ArtifactKey; 3] {
         let wfp = workload_fingerprint(workload);
-        let pfp = platform_fingerprint(&req.platform);
-        let (skeleton_pfp, route_pfp) = if req.platform.is_faulted() {
+        let pfp = platform_fingerprint(platform);
+        let (skeleton_pfp, route_pfp) = if platform.is_faulted() {
             (
-                fault_free_platform_fingerprint(&req.platform),
-                route_platform_fingerprint(&req.platform),
+                fault_free_platform_fingerprint(platform),
+                route_platform_fingerprint(platform),
             )
         } else {
             (pfp, pfp)
@@ -475,7 +528,7 @@ impl ServiceCore {
             },
             ArtifactKey::Route {
                 platform: route_pfp,
-                policy: req.platform.policy.index() as u8,
+                policy: platform.policy.index() as u8,
             },
         ]
     }
@@ -487,8 +540,8 @@ impl ServiceCore {
     /// touches neither the hit/miss counters nor LRU recency — admission
     /// must not perturb the deterministic counter sequences the bench
     /// pins.
-    fn estimate_solve_ns(&self, workload: &spg::Spg, req: &SolveReq) -> u64 {
-        let keys = Self::request_keys(workload, req);
+    fn estimate_solve_ns(&self, workload: &spg::Spg, platform: &Platform) -> u64 {
+        let keys = Self::request_keys(workload, platform);
         let resident = {
             let cache = self.cache.lock().unwrap();
             keys.iter().all(|k| cache.contains(k))
@@ -508,7 +561,7 @@ impl ServiceCore {
         &self,
         workload: &spg::Spg,
         req: &SolveReq,
-        solvers: &[Arc<dyn crate::solver::Solver>],
+        solvers: &[Arc<dyn Solver>],
     ) -> u64 {
         let mut fp = Fingerprint::new();
         fp.u64(workload_fingerprint(workload));
@@ -531,9 +584,8 @@ impl ServiceCore {
     }
 
     /// Builds the instance for a request and warm-seeds it from the
-    /// cache. Returns the instance, the three cache keys, which of them
-    /// hit, and whether a missed route table was *derived* by patching a
-    /// cached healthy sibling.
+    /// cache, recording which keys hit and whether a missed route table
+    /// was *derived* by patching a cached healthy sibling.
     ///
     /// Fault-aware keying (see `docs/fault-model.md`): the skeleton key
     /// uses the fault-stripped platform fingerprint (the transition
@@ -544,16 +596,15 @@ impl ServiceCore {
     /// warm across faults instead of rebuilding from scratch.
     fn seeded_instance(
         &self,
-        req_workload: spg::Spg,
-        req: &SolveReq,
-    ) -> (Instance, [ArtifactKey; 3], [bool; 3], bool) {
-        let keys = Self::request_keys(&req_workload, req);
-        let policy = req.platform.policy;
-        let inst = match req.period {
-            PeriodReq::Period(t) => Instance::new(req_workload, req.platform.clone(), t),
-            PeriodReq::Utilisation(u) => {
-                Instance::for_utilisation(req_workload, req.platform.clone(), u)
-            }
+        workload: spg::Spg,
+        platform: &Platform,
+        period: PeriodReq,
+    ) -> Seeded {
+        let keys = Self::request_keys(&workload, platform);
+        let policy = platform.policy;
+        let inst = match period {
+            PeriodReq::Period(t) => Instance::new(workload, platform.clone(), t),
+            PeriodReq::Utilisation(u) => Instance::for_utilisation(workload, platform.clone(), u),
         };
         let mut hits = [false; 3];
         let mut cache = self.cache.lock().unwrap();
@@ -568,43 +619,38 @@ impl ServiceCore {
             }
         }
         let mut route_patched = false;
-        if !hits[2] && req.platform.has_link_faults() {
+        if !hits[2] && platform.has_link_faults() {
             let healthy_key = ArtifactKey::Route {
-                platform: fault_free_platform_fingerprint(&req.platform),
+                platform: fault_free_platform_fingerprint(platform),
                 policy: policy.index() as u8,
             };
             if let Some(Artifact::Route(t)) = cache.get(&healthy_key) {
-                inst.seed_route_table(policy, Arc::new(t.patched(&req.platform)));
+                inst.seed_route_table(policy, Arc::new(t.patched(platform)));
                 route_patched = true;
             }
         }
-        (inst, keys, hits, route_patched)
+        Seeded {
+            inst,
+            keys,
+            hits,
+            route_patched,
+            bounded_hit: false,
+        }
     }
 
-    /// Probes the cache for a **bounded** skeleton whose work ceiling is
-    /// `ceiling` (the period the request would build one under — see
-    /// [`crate::TransitionSkeleton::period_ceiling`]) and seeds it into
-    /// `inst` on a hit. Only called when the complete-skeleton key
-    /// missed; returns whether the bounded probe hit.
-    fn seed_bounded(&self, inst: &Instance, keys: &[ArtifactKey; 3], ceiling: f64) -> bool {
-        let ArtifactKey::Skeleton {
-            workload, platform, ..
-        } = keys[1]
-        else {
-            unreachable!("keys[1] is the skeleton key");
-        };
-        let key = ArtifactKey::Skeleton {
-            workload,
-            platform,
-            ceiling: ceiling.to_bits(),
-        };
-        let mut cache = self.cache.lock().unwrap();
-        match cache.get(&key) {
-            Some(Artifact::Skeleton(s)) => {
-                inst.seed_skeleton(s);
-                true
-            }
-            _ => false,
+    /// When the complete-skeleton key missed, probes the cache for a
+    /// **bounded** skeleton whose work ceiling is `ceiling` (the period
+    /// the request would build one under — see
+    /// [`crate::TransitionSkeleton::period_ceiling`]) and seeds it on a
+    /// hit.
+    fn seed_bounded(&self, seeded: &mut Seeded, ceiling: f64) {
+        if seeded.hits[1] {
+            return;
+        }
+        let key = seeded.bounded_key(ceiling);
+        if let Some(Artifact::Skeleton(s)) = self.cache.lock().unwrap().get(&key) {
+            seeded.inst.seed_skeleton(s);
+            seeded.bounded_hit = true;
         }
     }
 
@@ -615,12 +661,10 @@ impl ServiceCore {
     /// inserted** so the caller can spill them write-behind, outside the
     /// cache lock — even an entry the LRU immediately evicts is worth
     /// spilling, because the disk tier is what makes a restart warm.
-    fn harvest(
-        &self,
-        inst: &Instance,
-        keys: &[ArtifactKey; 3],
-        hits: &[bool; 3],
-    ) -> Vec<(ArtifactKey, Artifact)> {
+    fn harvest(&self, seeded: &Seeded) -> Vec<(ArtifactKey, Artifact)> {
+        let Seeded {
+            inst, keys, hits, ..
+        } = seeded;
         let policy = inst.platform().policy;
         let mut fresh = Vec::new();
         let mut cache = self.cache.lock().unwrap();
@@ -641,17 +685,7 @@ impl ServiceCore {
             }
         }
         if let Some(b) = inst.cached_bounded_skeleton() {
-            let ArtifactKey::Skeleton {
-                workload, platform, ..
-            } = keys[1]
-            else {
-                unreachable!("keys[1] is the skeleton key");
-            };
-            let key = ArtifactKey::Skeleton {
-                workload,
-                platform,
-                ceiling: b.period_ceiling().to_bits(),
-            };
+            let key = seeded.bounded_key(b.period_ceiling());
             let a = Artifact::Skeleton(b);
             if cache.insert(key, a.clone()) {
                 fresh.push((key, a));
@@ -690,30 +724,60 @@ impl ServiceCore {
         }
     }
 
-    fn record_latency(&self, warm: bool, nanos: u64) {
-        let hist = if warm { &self.warm } else { &self.cold };
-        hist.lock().unwrap().record(nanos);
+    /// The tail every solve and sweep shares: harvest and spill what it
+    /// built, then record its arrival-to-response latency in the warm or
+    /// cold histogram. Returns that latency in nanoseconds.
+    fn settle(&self, seeded: &Seeded, arrival: Instant) -> u64 {
+        let fresh = self.harvest(seeded);
+        self.spill_fresh(&fresh);
+        let elapsed_ns = arrival.elapsed().as_nanos() as u64;
+        let hist = if seeded.warm() {
+            &self.warm
+        } else {
+            &self.cold
+        };
+        hist.lock().unwrap().record(elapsed_ns);
+        elapsed_ns
     }
 
-    /// Routes a decoded solve. With batching on, the request is
-    /// validated, fingerprinted, estimated, and enqueued; the connection
-    /// thread then blocks on the response channel while the scheduler
-    /// thread does the work. Shed requests get the structured
-    /// `overloaded` frame without ever touching the queue.
-    fn dispatch_solve(&self, req: SolveReq) -> Json {
-        if !self.cfg.batching {
-            return self.solve(&req);
+    /// The portfolio a request runs: its solvers, its seed (or the daemon
+    /// default), anytime mode, and a wall-clock budget that ends
+    /// `deadline_ms` (or the daemon default) after `anchor`. Anchoring at
+    /// arrival charges a job's queue wait — or a sweep's earlier points —
+    /// against its own deadline.
+    fn portfolio(
+        &self,
+        solvers: Vec<Arc<dyn Solver>>,
+        seed: Option<u64>,
+        deadline_ms: Option<u64>,
+        anytime: bool,
+        anchor: Instant,
+    ) -> Portfolio {
+        let portfolio = Portfolio::new(solvers)
+            .seeded(seed.unwrap_or(self.cfg.default_seed))
+            .anytime(anytime);
+        match deadline_ms
+            .or(self.cfg.default_deadline_ms)
+            .and_then(|ms| anchor.checked_add(Duration::from_millis(ms)))
+        {
+            Some(at) => portfolio.with_budget(at.saturating_duration_since(Instant::now())),
+            None => portfolio,
         }
+    }
+
+    /// Routes a decoded solve: it is validated, fingerprinted, estimated,
+    /// and admitted to the queue, and the connection thread blocks on the
+    /// response channel while the scheduler thread does the work. Shed
+    /// requests get the structured `overloaded` frame without ever
+    /// touching the queue. A job the queue bounces (after shutdown, or
+    /// always with `batching: false`) runs inline on this thread.
+    fn dispatch_solve(&self, req: SolveReq) -> Json {
         let arrival = Instant::now();
-        let workload = match req.workload.instantiate() {
-            Ok(g) => g,
+        let (workload, solvers) = match self.resolve(&req.workload, req.solvers.as_deref()) {
+            Ok(resolved) => resolved,
             Err(msg) => return error_response("bad_request", &msg),
         };
-        let solvers = match self.solvers_for(req.solvers.as_deref()) {
-            Ok(s) => s,
-            Err(msg) => return error_response("bad_request", &msg),
-        };
-        let est_ns = self.estimate_solve_ns(&workload, &req);
+        let est_ns = self.estimate_solve_ns(&workload, &req.platform);
         let dedup = self.request_fingerprint(&workload, &req, &solvers);
         let deadline_ns = req
             .deadline_ms
@@ -759,12 +823,11 @@ impl ServiceCore {
         }
         let deduped = total - groups.len() as u64;
         // Leaders prepare in parallel: cold preparation (lattice and
-        // skeleton construction) dominates a cold solve, and the
-        // per-request dispatch path gets it concurrently for free on its
-        // connection threads — a serial loop here would hand that
-        // advantage back. Cache inserts only happen at finish time, so
-        // concurrent prepares see exactly the same cache state a
-        // sequential loop would.
+        // skeleton construction) dominates a cold solve, and the inline
+        // path gets it concurrently for free on its connection threads —
+        // a serial loop here would hand that advantage back. Cache
+        // inserts only happen at settle time, so concurrent prepares see
+        // exactly the same cache state a sequential loop would.
         let prepared: Vec<_> = {
             use rayon::prelude::*;
             groups
@@ -783,18 +846,11 @@ impl ServiceCore {
                 })
                 .collect()
         };
-        let reports: Vec<PortfolioReport> = {
-            let pairs: Vec<(&Portfolio, &Instance)> = prepared
-                .iter()
-                .map(|(p, ..)| (&p.portfolio, &p.inst))
-                .collect();
-            match pairs.as_slice() {
-                // A batch of one is exactly a plain run; skip the
-                // flattening (identical report either way).
-                [(portfolio, inst)] => vec![portfolio.run(inst)],
-                _ => Portfolio::run_batch(&pairs),
-            }
-        };
+        let pairs: Vec<(&Portfolio, &Instance)> = prepared
+            .iter()
+            .map(|(p, ..)| (&p.portfolio, &p.seeded.inst))
+            .collect();
+        let reports = Portfolio::run_batch(&pairs);
         for ((p, req, arrival, tx, extras), report) in prepared.iter().zip(&reports) {
             let response = self.finish_solve(p, report, req, *arrival);
             for extra in extras {
@@ -805,7 +861,8 @@ impl ServiceCore {
         self.queue.batch_done(total, deduped);
     }
 
-    /// Runs one job inline (the post-shutdown drain path).
+    /// Runs one job inline on the calling thread: every solve with
+    /// `batching: false`, and any solve that races past shutdown.
     fn solve_job(&self, job: SolveJob) -> Json {
         let SolveJob {
             req,
@@ -815,27 +872,8 @@ impl ServiceCore {
             ..
         } = job;
         let p = self.prepare_solve(workload, solvers, &req, arrival);
-        let report = p.portfolio.run(&p.inst);
+        let report = p.portfolio.run(&p.seeded.inst);
         self.finish_solve(&p, &report, &req, arrival)
-    }
-
-    /// The direct, unbatched solve path (`batching: false`), kept
-    /// behaviourally identical to the batched one: both share
-    /// [`ServiceCore::prepare_solve`] and [`ServiceCore::finish_solve`],
-    /// so energies agree bit-for-bit.
-    fn solve(&self, req: &SolveReq) -> Json {
-        let arrival = Instant::now();
-        let workload = match req.workload.instantiate() {
-            Ok(g) => g,
-            Err(msg) => return error_response("bad_request", &msg),
-        };
-        let solvers = match self.solvers_for(req.solvers.as_deref()) {
-            Ok(s) => s,
-            Err(msg) => return error_response("bad_request", &msg),
-        };
-        let p = self.prepare_solve(workload, solvers, req, arrival);
-        let report = p.portfolio.run(&p.inst);
-        self.finish_solve(&p, &report, req, arrival)
     }
 
     /// Everything a solve needs before the portfolio runs: the
@@ -845,36 +883,21 @@ impl ServiceCore {
     fn prepare_solve(
         &self,
         workload: spg::Spg,
-        solvers: Vec<Arc<dyn crate::solver::Solver>>,
+        solvers: Vec<Arc<dyn Solver>>,
         req: &SolveReq,
         arrival: Instant,
     ) -> PreparedSolve {
-        let (inst, keys, hits, route_patched) = self.seeded_instance(workload, req);
+        let mut seeded = self.seeded_instance(workload, &req.platform, req.period);
         // A bounded skeleton built at exactly this period can stand in
         // when no complete skeleton is cached (the complete build may
         // overflow the edge cap for this workload entirely).
-        let bounded_hit = !hits[1] && self.seed_bounded(&inst, &keys, inst.period());
-        let mut portfolio = Portfolio::new(solvers)
-            .seeded(req.seed.unwrap_or(self.cfg.default_seed))
-            .anytime(req.anytime);
-        if let Some(ms) = req.deadline_ms.or(self.cfg.default_deadline_ms) {
-            if let Some(deadline_at) = arrival.checked_add(Duration::from_millis(ms)) {
-                portfolio =
-                    portfolio.with_budget(deadline_at.saturating_duration_since(Instant::now()));
-            }
-        }
-        PreparedSolve {
-            inst,
-            keys,
-            hits,
-            route_patched,
-            bounded_hit,
-            portfolio,
-        }
+        let period = seeded.inst.period();
+        self.seed_bounded(&mut seeded, period);
+        let portfolio = self.portfolio(solvers, req.seed, req.deadline_ms, req.anytime, arrival);
+        PreparedSolve { seeded, portfolio }
     }
 
-    /// The tail of a solve: harvest and spill fresh artifacts, record the
-    /// arrival-to-response latency, build the response frame.
+    /// The tail of a solve: settle the session, build the response frame.
     fn finish_solve(
         &self,
         p: &PreparedSolve,
@@ -882,28 +905,26 @@ impl ServiceCore {
         req: &SolveReq,
         arrival: Instant,
     ) -> Json {
-        let fresh = self.harvest(&p.inst, &p.keys, &p.hits);
-        self.spill_fresh(&fresh);
-        let skeleton_hit = p.hits[1] || p.bounded_hit;
-        let route_hit = p.hits[2] || p.route_patched;
-        let warm = p.hits[0] && skeleton_hit && route_hit;
-        let elapsed_ns = arrival.elapsed().as_nanos() as u64;
-        self.record_latency(warm, elapsed_ns);
-        let inst = &p.inst;
-        let hits = &p.hits;
-        let route_patched = p.route_patched;
-
+        let s = &p.seeded;
+        let elapsed_ns = self.settle(s, arrival);
         let cache_tags = obj([
-            ("lattice", Json::from(if hits[0] { "hit" } else { "miss" })),
+            (
+                "lattice",
+                Json::from(if s.hits[0] { "hit" } else { "miss" }),
+            ),
             (
                 "skeleton",
-                Json::from(if skeleton_hit { "hit" } else { "miss" }),
+                Json::from(if s.hits[1] || s.bounded_hit {
+                    "hit"
+                } else {
+                    "miss"
+                }),
             ),
             (
                 "route",
-                Json::from(if hits[2] {
+                Json::from(if s.hits[2] {
                     "hit"
-                } else if route_patched {
+                } else if s.route_patched {
                     "patched"
                 } else {
                     "miss"
@@ -919,8 +940,8 @@ impl ServiceCore {
                     ("solver", Json::from(run.name.clone())),
                     ("active_cores", Json::from(sol.eval.active_cores)),
                     ("max_cycle_time", Json::from(sol.eval.max_cycle_time)),
-                    ("period", Json::from(inst.period())),
-                    ("warm", Json::from(warm)),
+                    ("period", Json::from(s.inst.period())),
+                    ("warm", Json::from(s.warm())),
                     ("cache", cache_tags),
                     ("wall_ms", Json::from(elapsed_ns as f64 / 1e6)),
                 ];
@@ -936,11 +957,7 @@ impl ServiceCore {
                         ]),
                     ));
                 }
-                let fields: Vec<(String, Json)> = fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect();
-                ok_response(Json::Obj(fields.into_iter().collect()))
+                ok_response(obj(fields))
             }
             None => {
                 // Every solver failed. Budget exhaustion dominates the
@@ -965,27 +982,14 @@ impl ServiceCore {
 
     fn sweep(&self, req: &SweepReq) -> Json {
         let started = Instant::now();
-        let workload = match req.workload.instantiate() {
-            Ok(g) => g,
-            Err(msg) => return error_response("bad_request", &msg),
-        };
-        let solvers = match self.solvers_for(req.solvers.as_deref()) {
-            Ok(s) => s,
+        let (workload, solvers) = match self.resolve(&req.workload, req.solvers.as_deref()) {
+            Ok(resolved) => resolved,
             Err(msg) => return error_response("bad_request", &msg),
         };
         // A sweep is a solve per grid value sharing one seeded instance
         // session (so the lattice/skeleton build — or cache hit — pays
         // once), with the deadline covering the *whole* sweep.
-        let solve_shape = SolveReq {
-            workload: req.workload.clone(),
-            platform: req.platform.clone(),
-            period: PeriodReq::Period(1.0),
-            solvers: req.solvers.clone(),
-            seed: req.seed,
-            deadline_ms: req.deadline_ms,
-            anytime: req.anytime,
-        };
-        let (base, keys, hits, route_patched) = self.seeded_instance(workload, &solve_shape);
+        let mut seeded = self.seeded_instance(workload, &req.platform, PeriodReq::Period(1.0));
         // Resolve the whole grid up front so the loosest period can (a)
         // prime the bounded-skeleton ceiling hint — one bounded build then
         // serves every tighter point — and (b) drive the warm-cache probe
@@ -995,39 +999,34 @@ impl ServiceCore {
             .iter()
             .map(|&value| {
                 if req.over_utilisation {
-                    base.utilisation_period(value)
+                    seeded.inst.utilisation_period(value)
                 } else {
                     value
                 }
             })
             .collect();
-        let mut bounded_hit = false;
         if let Some(loosest) = periods
             .iter()
             .copied()
             .max_by(f64::total_cmp)
             .filter(|t| t.is_finite() && *t > 0.0)
         {
-            base.note_period_ceiling(loosest);
-            bounded_hit = !hits[1] && self.seed_bounded(&base, &keys, loosest);
+            seeded.inst.note_period_ceiling(loosest);
+            self.seed_bounded(&mut seeded, loosest);
         }
-        let deadline_at = req
-            .deadline_ms
-            .or(self.cfg.default_deadline_ms)
-            .and_then(|ms| started.checked_add(Duration::from_millis(ms)));
-        let seed = req.seed.unwrap_or(self.cfg.default_seed);
         let mut points = Vec::with_capacity(req.values.len());
         let mut exhausted: Option<crate::common::Failure> = None;
         for (&value, &period) in req.values.iter().zip(&periods) {
-            let inst = base.with_period(period);
-            let mut portfolio = Portfolio::new(solvers.clone())
-                .seeded(seed)
-                .anytime(req.anytime);
-            if let Some(at) = deadline_at {
-                let remaining = at.saturating_duration_since(Instant::now());
-                portfolio = portfolio.with_budget(remaining);
-            }
-            let report = portfolio.run(&inst);
+            let inst = seeded.inst.with_period(period);
+            let report = self
+                .portfolio(
+                    solvers.clone(),
+                    req.seed,
+                    req.deadline_ms,
+                    req.anytime,
+                    started,
+                )
+                .run(&inst);
             if exhausted.is_none() {
                 exhausted = report
                     .runs
@@ -1060,17 +1059,9 @@ impl ServiceCore {
                 fields.push(("transitions_pruned", Json::from(p.transitions_pruned)));
                 fields.push(("frontier_max", Json::from(u64::from(p.frontier_max))));
             }
-            let fields: Vec<(String, Json)> = fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
-            points.push(Json::Obj(fields.into_iter().collect()));
+            points.push(obj(fields));
         }
-        let fresh = self.harvest(&base, &keys, &hits);
-        self.spill_fresh(&fresh);
-        let warm = hits[0] && (hits[1] || bounded_hit) && (hits[2] || route_patched);
-        let elapsed_ns = started.elapsed().as_nanos() as u64;
-        self.record_latency(warm, elapsed_ns);
+        let elapsed_ns = self.settle(&seeded, started);
         // A sweep that lost points to the deadline still reports the grid
         // (with null energies) — but flags the exhaustion structurally.
         let mut fields = vec![
@@ -1084,7 +1075,7 @@ impl ServiceCore {
             ),
             ("workload", Json::from(req.workload.describe())),
             ("points", Json::from(points)),
-            ("warm", Json::from(warm)),
+            ("warm", Json::from(seeded.warm())),
             ("wall_ms", Json::from(elapsed_ns as f64 / 1e6)),
         ];
         if let Some(f) = &exhausted {
@@ -1098,11 +1089,7 @@ impl ServiceCore {
                 ]),
             ));
         }
-        let fields: Vec<(String, Json)> = fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        ok_response(Json::Obj(fields.into_iter().collect()))
+        ok_response(obj(fields))
     }
 }
 
@@ -1605,7 +1592,7 @@ mod tests {
     #[test]
     fn batched_identical_requests_are_coalesced_single_flight() {
         // Drive run_batch_jobs directly (batching off, so no scheduler
-        // thread competes) for a deterministic grouping assertion.
+        // thread drains the queue) for a deterministic grouping assertion.
         let svc = Service::new(ServeConfig {
             batching: false,
             ..ServeConfig::default()
@@ -1615,8 +1602,7 @@ mod tests {
             panic!("fixture must parse as a solve");
         };
         let make_job = |req: &SolveReq| {
-            let workload = req.workload.instantiate().unwrap();
-            let solvers = svc.solvers_for(req.solvers.as_deref()).unwrap();
+            let (workload, solvers) = svc.resolve(&req.workload, req.solvers.as_deref()).unwrap();
             let dedup = svc.request_fingerprint(&workload, req, &solvers);
             let (tx, rx) = mpsc::channel();
             (
@@ -1666,10 +1652,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_queue_sheds_with_structured_overloaded() {
-        let svc = Service::new(ServeConfig {
-            queue_cap: 0,
-            ..ServeConfig::default()
-        });
+        let svc = Service::with_queue(ServeConfig::default(), SolveQueue::new(0));
         let resp = svc.handle(&solve_frame(7));
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
         let err = resp.get("error").unwrap();

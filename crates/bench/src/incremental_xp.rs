@@ -193,8 +193,8 @@ fn one_campaign(
     let portfolio = Portfolio::new(remap_solvers()).seeded(seed);
     let mut rng = ChaCha8Rng::seed_from_u64(event_seed);
 
-    // Warm base: one cold solve materialises the lattice, skeleton and
-    // route table the remap side is allowed to keep.
+    // Warm base: one cold solve materialises the lattice and route
+    // tables the remap side is allowed to keep.
     let mut warm = Instance::new(g0.clone(), pf0.clone(), period);
     let base_energy = portfolio.run(&warm).best_energy();
 

@@ -11,8 +11,8 @@
 //!   [`SWEEP_BENCH_POINTS`]-point geometric decade sweep of `DPA1D` over
 //!   every Table 1 workflow, run twice — *amortized* (one
 //!   [`ea_core::Instance`], the lattice/skeleton caches shared across the
-//!   whole curve) and *naive* (a fresh instance per point, the pre-sweep
-//!   cost model). Per-point energies are asserted bit-identical; the wall
+//!   whole curve) and *naive* (a fresh instance per point, solved one-shot
+//!   on the fresh per-period walk). Per-point energies are asserted bit-identical; the wall
 //!   ratio is the headline number of `BENCH_sweep.json`, and the
 //!   deterministic energy/feasibility metrics are what `xp bench-check`
 //!   gates on.
@@ -89,7 +89,8 @@ fn amortized_sweep(base: &Instance, grid: Vec<f64>, seed: u64) -> SweepReport {
 }
 
 /// The naive baseline: a fresh [`Instance`] per point, so every point pays
-/// enumeration + materialisation again. Same solver, same seeds.
+/// enumeration again and solves one-shot on the fresh per-period walk (a
+/// 1-point sweep builds no skeleton). Same solver, same seeds.
 fn naive_sweep(g: &Spg, pf: &Platform, grid: &[f64], seed: u64) -> Vec<Option<f64>> {
     grid.iter()
         .map(|&t| {
@@ -211,7 +212,7 @@ pub fn sweep_bench_text(sweeps: &[WorkflowSweep]) -> String {
     let mut out = fmt_table(
         &format!(
             "StreamIt decade sweep, {SWEEP_BENCH_POINTS} points, DPA1D \
-             (amortized skeleton vs naive per-point re-solve)"
+             (amortized skeleton vs per-point fresh walk)"
         ),
         &[
             "workflow",

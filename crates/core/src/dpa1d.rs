@@ -18,10 +18,11 @@
 //! (capped — a cap hit is a heuristic *failure*, mirroring the paper's
 //! observation that `DPA1D` cannot handle the high-elevation StreamIt
 //! graphs). The `(ideal, extended ideal)` cluster transitions then come
-//! from one of two producers: the cached [`TransitionSkeleton`] (below),
-//! or — for a period no skeleton serves — a fresh per-period walk of the
-//! extension DFS that relaxes each transition as it is produced and stores
-//! none. Both feed the same single-pass relaxation over at most `r`
+//! from one of two producers: a fresh per-period walk of the extension DFS
+//! that relaxes each transition as it is produced and stores none — the
+//! path of every one-shot solve — or, inside a multi-point
+//! [`crate::PeriodSweep`], the sweep's shared [`TransitionSkeleton`]
+//! (below). Both feed the same single-pass relaxation over at most `r`
 //! cluster-count slots per ideal, and the optimal cluster chain is laid
 //! along the snake.
 //!
@@ -36,7 +37,10 @@
 //! re-walk the lattice per point: the [`TransitionSkeleton`] materialises
 //! the *complete* transition system once (work-uncapped, edge-capped), and
 //! each sweep point runs a cheap admission pass — two compares and a speed
-//! lookup per transition — over the flat arrays.
+//! lookup per transition — over the flat arrays. A sweep whose complete
+//! system overflows the edge cap runs the fresh walk at every point. A
+//! one-shot solve never builds the skeleton: a single admission pass does
+//! not repay the build, so the fresh walk is faster there.
 //!
 //! The admission pass deliberately scans the skeleton in its original DFS
 //! order instead of pre-sorting transitions by critical period and slicing
@@ -79,10 +83,11 @@ const RELAX_PAR_THRESHOLD: usize = 10_000;
 pub struct Dpa1dConfig {
     /// Maximum number of order ideals to enumerate before failing.
     pub ideal_cap: usize,
-    /// Maximum number of cluster transitions a cached
-    /// [`TransitionSkeleton`] may hold. With the dominance layer off it
-    /// also caps the transitions a single solve admits (see
-    /// [`Dpa1dConfig::dominance`]).
+    /// Maximum number of cluster transitions the [`TransitionSkeleton`] a
+    /// multi-point [`crate::PeriodSweep`] builds may hold; a sweep whose
+    /// complete transition system overflows it runs the fresh walk at every
+    /// point. With the dominance layer off it also caps the transitions a
+    /// single solve admits (see [`Dpa1dConfig::dominance`]).
     pub edge_cap: usize,
     /// Enables the dominance state-reduction layer (`true` by default —
     /// set `false` to reproduce the pre-dominance semantics exactly). Two
@@ -100,7 +105,7 @@ pub struct Dpa1dConfig {
     ///    tighter relaxation window per source row (often one slot instead
     ///    of the full cluster-count range).
     /// 2. **The edge cap becomes a soundness-preserving bound.** With the
-    ///    layer on, `edge_cap` bounds only the cached skeleton. An admitted
+    ///    layer on, `edge_cap` bounds only a sweep's skeleton. An admitted
     ///    set past the cap is time, not a failure: the skeleton path
     ///    streams the admission scan over the prebuilt index, and the
     ///    fresh per-period walk stores no transitions at all. With the
@@ -176,9 +181,9 @@ impl SkeletonBlock {
 /// destination-grouped transposed index and the cardinality levels that
 /// let the relaxation fan out over rayon.
 ///
-/// Built at most once per instance (see `Instance::transition_skeleton`)
-/// and shared across `with_period` re-targets — the enabling structure for
-/// period sweeps: per sweep point only the admission thresholds and `Ecal`
+/// Built at most once per sweep session (see
+/// `Instance::transition_skeleton`) and shared across its `with_period`
+/// re-targets: per sweep point only the admission thresholds and `Ecal`
 /// change.
 pub struct TransitionSkeleton {
     // Summarised rather than dumped: a skeleton can hold a million
@@ -206,14 +211,6 @@ pub struct TransitionSkeleton {
     /// level-`L` ideal come from strictly earlier levels, so levels are
     /// the parallel relaxation's synchronisation points.
     level_off: Vec<u32>,
-    /// The loosest period this skeleton serves exactly: `INFINITY` for a
-    /// complete (work-uncapped) build, or the work-ceiling period of a
-    /// bounded build. Work strictly grows along every extension-DFS path,
-    /// so a build capped at the ceiling's work threshold contains *every*
-    /// transition any period `T ≤ ceiling` admits, in the same DFS order —
-    /// the admission pass at such a `T` is bit-identical to one over the
-    /// complete skeleton (and to the fresh walk at `T`).
-    period_ceiling: f64,
 }
 
 impl std::fmt::Debug for TransitionSkeleton {
@@ -222,7 +219,6 @@ impl std::fmt::Debug for TransitionSkeleton {
             .field("blocks", &self.blocks.len())
             .field("transitions", &self.to.len())
             .field("levels", &(self.level_off.len().saturating_sub(1)))
-            .field("period_ceiling", &self.period_ceiling)
             .finish()
     }
 }
@@ -238,167 +234,9 @@ impl TransitionSkeleton {
         self.blocks.len()
     }
 
-    /// Approximate resident size in bytes (all per-block and
-    /// per-transition arrays, including the transposed index) — input to
-    /// byte-bounded artifact-cache accounting.
-    pub fn size_bytes(&self) -> usize {
-        use std::mem::size_of;
-        size_of::<Self>()
-            + self.blocks.capacity() * size_of::<SkeletonBlock>()
-            + self.to.capacity() * size_of::<IdealId>()
-            + self.work.capacity() * size_of::<f64>()
-            + self.in_off.capacity() * size_of::<u32>()
-            + self.in_idx.capacity() * size_of::<u32>()
-            + self.in_block.capacity() * size_of::<u32>()
-            + self.level_off.capacity() * size_of::<u32>()
-    }
-
     /// Largest cluster stage count over all transitions.
     pub fn max_cluster_stages(&self) -> u32 {
         self.max_stages
-    }
-
-    /// The loosest period this skeleton serves exactly (`INFINITY` for a
-    /// complete build; see [`TransitionSkeleton::serves`]).
-    pub fn period_ceiling(&self) -> f64 {
-        self.period_ceiling
-    }
-
-    /// Whether this is a complete (work-uncapped) build serving every
-    /// period, as opposed to a work-ceiling bounded build.
-    pub fn is_complete(&self) -> bool {
-        self.period_ceiling.is_infinite()
-    }
-
-    /// Whether an admission pass at `period` over this skeleton is exact —
-    /// i.e. bit-identical to the fresh per-period walk. True for
-    /// every period of a complete build, and for `period ≤ ceiling` of a
-    /// bounded one.
-    pub fn serves(&self, period: f64) -> bool {
-        period <= self.period_ceiling
-    }
-
-    /// Serialises the skeleton into a self-contained little-endian byte
-    /// image for artifact-cache spill files; floats (cut volumes, cluster
-    /// work, the period ceiling) travel as IEEE-754 bit patterns, so a
-    /// reloaded skeleton admits bit-identically.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        use spg::wire;
-        let mut out = Vec::with_capacity(64 + self.to.len() * 16);
-        wire::put_u64(&mut out, self.blocks.len() as u64);
-        for b in &self.blocks {
-            wire::put_u32(&mut out, b.from.0);
-            wire::put_f64(&mut out, b.cut);
-            wire::put_f64(&mut out, b.hop);
-            wire::put_f64(&mut out, b.wmin);
-            wire::put_f64(&mut out, b.wmax);
-            wire::put_u32(&mut out, b.range.start);
-            wire::put_u32(&mut out, b.range.end);
-        }
-        wire::put_u64(&mut out, self.to.len() as u64);
-        for t in &self.to {
-            wire::put_u32(&mut out, t.0);
-        }
-        wire::put_f64_slice(&mut out, &self.work);
-        wire::put_u32(&mut out, self.max_stages);
-        wire::put_u32_slice(&mut out, &self.in_off);
-        wire::put_u32_slice(&mut out, &self.in_idx);
-        wire::put_u32_slice(&mut out, &self.in_block);
-        wire::put_u32_slice(&mut out, &self.level_off);
-        wire::put_f64(&mut out, self.period_ceiling);
-        out
-    }
-
-    /// Decodes a byte image produced by [`TransitionSkeleton::to_bytes`],
-    /// re-validating every index the relaxation later slices with (block
-    /// ranges, the transposed index, level boundaries), so a corrupted
-    /// spill file yields `Err`, never an out-of-bounds panic mid-DP.
-    pub fn from_bytes(bytes: &[u8]) -> Result<TransitionSkeleton, String> {
-        use spg::wire;
-        let mut pos = 0usize;
-        let n_blocks = wire::get_len(bytes, &mut pos, 44)?;
-        let mut blocks = Vec::with_capacity(n_blocks);
-        for _ in 0..n_blocks {
-            let from = IdealId(wire::get_u32(bytes, &mut pos)?);
-            let cut = wire::get_f64(bytes, &mut pos)?;
-            let hop = wire::get_f64(bytes, &mut pos)?;
-            let wmin = wire::get_f64(bytes, &mut pos)?;
-            let wmax = wire::get_f64(bytes, &mut pos)?;
-            let start = wire::get_u32(bytes, &mut pos)?;
-            let end = wire::get_u32(bytes, &mut pos)?;
-            blocks.push(SkeletonBlock {
-                from,
-                cut,
-                hop,
-                wmin,
-                wmax,
-                range: start..end,
-            });
-        }
-        let n_to = wire::get_len(bytes, &mut pos, 4)?;
-        let mut to = Vec::with_capacity(n_to);
-        for _ in 0..n_to {
-            to.push(IdealId(wire::get_u32(bytes, &mut pos)?));
-        }
-        let work = wire::get_f64_slice(bytes, &mut pos)?;
-        let max_stages = wire::get_u32(bytes, &mut pos)?;
-        let in_off = wire::get_u32_slice(bytes, &mut pos)?;
-        let in_idx = wire::get_u32_slice(bytes, &mut pos)?;
-        let in_block = wire::get_u32_slice(bytes, &mut pos)?;
-        let level_off = wire::get_u32_slice(bytes, &mut pos)?;
-        let period_ceiling = wire::get_f64(bytes, &mut pos)?;
-        if pos != bytes.len() {
-            return Err(format!(
-                "{} trailing bytes after skeleton image",
-                bytes.len() - pos
-            ));
-        }
-        let n_tr = to.len();
-        if work.len() != n_tr {
-            return Err("work array disagrees with the transition count".into());
-        }
-        if blocks
-            .iter()
-            .any(|b| b.range.start > b.range.end || b.range.end as usize > n_tr)
-        {
-            return Err("block range exceeds the transition arrays".into());
-        }
-        let n_ideals = in_off.len().saturating_sub(1);
-        if in_off.is_empty()
-            || in_off.windows(2).any(|w| w[0] > w[1])
-            || in_off.last().copied().unwrap_or(0) as usize != in_idx.len()
-        {
-            return Err("transposed offsets are not a monotone cover".into());
-        }
-        if in_idx.len() != n_tr || in_block.len() != n_tr {
-            return Err("transposed index disagrees with the transition count".into());
-        }
-        if in_idx.iter().any(|&i| i as usize >= n_tr)
-            || in_block.iter().any(|&b| b as usize >= blocks.len())
-        {
-            return Err("transposed entry references an out-of-range transition".into());
-        }
-        if level_off.windows(2).any(|w| w[0] > w[1])
-            || level_off.last().copied().unwrap_or(0) as usize > n_ideals
-        {
-            return Err("level boundaries exceed the ideal count".into());
-        }
-        if to.iter().any(|t| t.idx() >= n_ideals)
-            || blocks.iter().any(|b| b.from.idx() >= n_ideals.max(1))
-        {
-            return Err("transition references an out-of-range ideal".into());
-        }
-        Ok(TransitionSkeleton {
-            blocks,
-            to,
-            work,
-            max_stages,
-            in_off,
-            in_idx,
-            in_block,
-            level_off,
-            period_ceiling,
-        })
     }
 
     /// In-edge count of one cardinality level (`level_off[l]..level_off[l+1]`
@@ -454,26 +292,18 @@ impl TransitionSkeleton {
                 .any(|&w| w <= adm.cap_work && ec.ecal(w).is_some())
     }
 
-    /// Builds the transition system over `lattice`, complete
-    /// (`period_ceiling = INFINITY`) or bounded by a work-ceiling period.
+    /// Builds the complete transition system over an instance's shared
+    /// lattice (crate-internal constructor used by the `Instance` cache).
     /// Fails (with the materialise-phase budget payload) when the built set
-    /// exceeds `edge_cap` — the caller falls back to a tighter ceiling or
-    /// to the fresh per-period walk.
-    fn build(
+    /// exceeds `edge_cap` — the sweep then runs the fresh per-period walk.
+    pub(crate) fn build(
         spg: &Spg,
         pf: &Platform,
-        lattice: &IdealLattice,
-        cuts: &[f64],
+        shared: &SharedLattice,
         edge_cap: usize,
-        period_ceiling: f64,
     ) -> Result<TransitionSkeleton, Failure> {
+        let (lattice, cuts) = (&shared.lattice, &shared.cuts);
         debug_assert_eq!(cuts.len(), lattice.len());
-        // A bounded build applies the ceiling period's admission thresholds
-        // at materialisation time: both are monotone in the period, so
-        // everything a tighter period admits survives, in DFS order.
-        let ceiling_adm = period_ceiling
-            .is_finite()
-            .then(|| Admission::new(pf, period_ceiling));
         let mut blocks: Vec<SkeletonBlock> = Vec::new();
         let mut to: Vec<IdealId> = Vec::new();
         let mut work: Vec<f64> = Vec::new();
@@ -482,22 +312,15 @@ impl TransitionSkeleton {
             spg,
             lattice,
             pred_masks: lattice.pred_masks(),
-            // Complete builds are work-uncapped: the skeleton serves every
-            // period, so only the edge cap bounds it.
-            cap_work: ceiling_adm.as_ref().map_or(f64::INFINITY, |a| a.cap_work),
+            // Work-uncapped: the skeleton serves every period, so only the
+            // edge cap bounds it.
+            cap_work: f64::INFINITY,
             stack: Vec::with_capacity(4 * spg.n()),
         };
+        // Every boundary is kept: a cut infeasible at one period is
+        // feasible at a looser one, and the admission pass applies both
+        // thresholds per period.
         for from in lattice.ids() {
-            // Complete builds keep every boundary (a cut infeasible at one
-            // period is feasible at a looser one; the admission pass applies
-            // both thresholds per period). A bounded build drops boundaries
-            // already overloaded at the ceiling — no served period can pass
-            // through them.
-            if let Some(a) = &ceiling_adm {
-                if from.idx() != 0 && cuts[from.idx()] > a.bw_cap {
-                    continue;
-                }
-            }
             ctx.stack.clear();
             ctx.stack
                 .extend(lattice.covers(from).iter().map(|&(s, _)| StageId(s)));
@@ -588,50 +411,8 @@ impl TransitionSkeleton {
             in_idx,
             in_block,
             level_off,
-            period_ceiling,
         })
     }
-}
-
-/// Builds the complete (every-period) skeleton for a shared lattice
-/// (crate-internal constructor used by the `Instance` cache).
-pub(crate) fn build_skeleton(
-    spg: &Spg,
-    pf: &Platform,
-    shared: &SharedLattice,
-    edge_cap: usize,
-) -> Result<TransitionSkeleton, Failure> {
-    TransitionSkeleton::build(
-        spg,
-        pf,
-        &shared.lattice,
-        &shared.cuts,
-        edge_cap,
-        f64::INFINITY,
-    )
-}
-
-/// Builds a work-ceiling bounded skeleton: exact for every period up to
-/// `period_ceiling` (see [`TransitionSkeleton::serves`]), and typically far
-/// smaller than the complete set — the escape hatch when the complete build
-/// overflows the edge cap (e.g. `BitonicSort`'s ~4.2M complete transitions
-/// against the 1M default cap).
-pub(crate) fn build_skeleton_bounded(
-    spg: &Spg,
-    pf: &Platform,
-    shared: &SharedLattice,
-    edge_cap: usize,
-    period_ceiling: f64,
-) -> Result<TransitionSkeleton, Failure> {
-    debug_assert!(period_ceiling.is_finite() && period_ceiling > 0.0);
-    TransitionSkeleton::build(
-        spg,
-        pf,
-        &shared.lattice,
-        &shared.cuts,
-        edge_cap,
-        period_ceiling,
-    )
 }
 
 /// The period-dependent compute-energy table: cluster work → `Ecal`.
@@ -671,9 +452,9 @@ impl EcalTable {
 }
 
 /// `DPA1D` on an instance's shared caches: the interned lattice with its
-/// cut volumes, the [`TransitionSkeleton`] when one serves `period`, and
-/// the snake route table. Any period no skeleton serves runs the fresh
-/// per-period walk instead.
+/// cut volumes, the sweep's [`TransitionSkeleton`] if there is one, and
+/// the snake route table. Without a skeleton it runs the fresh per-period
+/// walk.
 pub(crate) fn dpa1d_run(
     spg: &Spg,
     pf: &Platform,
@@ -684,10 +465,7 @@ pub(crate) fn dpa1d_run(
     table: &RouteTable,
 ) -> Result<Solution, Failure> {
     let (chain, prune) = match skeleton {
-        // A bounded skeleton is only exact up to its ceiling; a request
-        // beyond it (defensive — the `Instance` cache hands out serving
-        // skeletons only) falls back to the fresh walk.
-        Some(sk) if sk.serves(period) => solve_chain_skeleton(
+        Some(sk) => solve_chain_skeleton(
             spg,
             pf,
             period,
@@ -696,7 +474,7 @@ pub(crate) fn dpa1d_run(
             sk,
             RELAX_PAR_THRESHOLD,
         )?,
-        _ => solve_chain_fresh(spg, pf, period, cfg, shared)?,
+        None => solve_chain_fresh(spg, pf, period, cfg, shared)?,
     };
     let mut sol = build_snake_solution(spg, pf, period, &chain, table)?;
     sol.prune = prune;
@@ -928,11 +706,12 @@ impl PruneCtx {
 
 /// The fresh per-period walk: runs the cluster-extension DFS at this
 /// period's thresholds and relaxes every transition the moment the DFS
-/// produces it, storing none of them — the producer for any period no
-/// [`TransitionSkeleton`] serves. The DFS visits sources in id order and
-/// each source's extensions in the skeleton's own order, so every
-/// candidate, tie-break and window — and therefore the returned chain and
-/// telemetry — is bit-identical to the skeleton path at the same period.
+/// produces it, storing none of them — the producer of every solve outside
+/// a multi-point sweep with a [`TransitionSkeleton`]. The DFS visits
+/// sources in id order and each source's extensions in the skeleton's own
+/// order, so every candidate, tie-break and window — and therefore the
+/// returned chain and telemetry — is bit-identical to the skeleton path at
+/// the same period.
 ///
 /// Enforces `cfg.ideal_cap` on the given lattice, so a shared over-cap
 /// lattice still fails this solver. With the dominance layer off the walk
@@ -1673,7 +1452,7 @@ mod tests {
         let pool = rayon::ThreadPool::new(2);
         for g in &graphs {
             let sh = shared(g, cfg.ideal_cap);
-            let sk = build_skeleton(g, &pf, &sh, cfg.edge_cap).unwrap();
+            let sk = TransitionSkeleton::build(g, &pf, &sh, cfg.edge_cap).unwrap();
             assert!(sk.n_transitions() > 0 && sk.n_blocks() > 0);
             assert!(sk.max_cluster_stages() >= 1);
             for period in [1.0, 0.5, 0.2, 0.05, 0.01] {
@@ -1708,9 +1487,9 @@ mod tests {
             let hi = 2.0 * g.total_work() / (8.0 * 1e9);
             for t in [hi, hi / 5.0] {
                 let inst = Instance::new(g.clone(), pf.clone(), t);
-                // Over-cap lattices fail before any relaxation runs, and a
-                // period no skeleton serves takes the (always sequential)
-                // fresh walk: neither has two orders to compare.
+                // Over-cap lattices fail before any relaxation runs, and an
+                // over-cap skeleton leaves only the (always sequential) fresh
+                // walk: neither has two orders to compare.
                 let Ok(sh) = inst.lattice(cfg.ideal_cap) else {
                     continue;
                 };
@@ -1741,7 +1520,7 @@ mod tests {
         let pf = Platform::paper(2, 2);
         let cfg = Dpa1dConfig::default();
         let sh = shared(&g, cfg.ideal_cap);
-        let sk = build_skeleton(&g, &pf, &sh, cfg.edge_cap).unwrap();
+        let sk = TransitionSkeleton::build(&g, &pf, &sh, cfg.edge_cap).unwrap();
         let mut prev = 0usize;
         for period in [0.01, 0.1, 1.0, 10.0] {
             let adm = Admission::new(&pf, period);
@@ -1780,70 +1559,20 @@ mod tests {
         assert!(stats.transitions_kept > 0);
     }
 
-    /// The skeleton builder itself respects the edge cap (complete-set
-    /// explosion falls back, it must not OOM or panic).
+    /// The skeleton builder itself respects the edge cap (an exploding
+    /// complete set fails the build; it must not OOM or panic).
     #[test]
     fn skeleton_build_respects_edge_cap() {
         let g = chain(&[1e6; 30], &[1e3; 29]);
         let pf = Platform::paper(2, 2);
         let sh = shared(&g, 60_000);
         // A 30-chain has 31 ideals and C(31,2) = 465 transitions.
-        let sk = build_skeleton(&g, &pf, &sh, 1_000_000).unwrap();
+        let sk = TransitionSkeleton::build(&g, &pf, &sh, 1_000_000).unwrap();
         assert_eq!(sk.n_transitions(), 465);
-        assert!(sk.is_complete() && sk.serves(f64::MAX));
-        let err = build_skeleton(&g, &pf, &sh, 100).unwrap_err();
+        let err = TransitionSkeleton::build(&g, &pf, &sh, 100).unwrap_err();
         let b = err.budget_exceeded().unwrap();
         assert_eq!(b.phase, BudgetPhase::Materialise);
         assert_eq!(b.cap, 100);
-        // A work-ceiling bounded build materialises only the ceiling's
-        // admitted set — it fits the cap the complete build overflows.
-        // cap_work = 3e6 ⇒ clusters of ≤ 3 stages ⇒ 3·30 − 3 = 87 ≤ 100.
-        let ceiling = 0.003;
-        let bounded = build_skeleton_bounded(&g, &pf, &sh, 100, ceiling).unwrap();
-        assert!(!bounded.is_complete());
-        assert!(bounded.serves(ceiling) && !bounded.serves(ceiling * 1.01));
-        assert!(bounded.n_transitions() < sk.n_transitions());
-    }
-
-    /// A bounded skeleton serves every period at or below its ceiling
-    /// bit-identically to the complete skeleton AND to the fresh walk —
-    /// results and telemetry both.
-    #[test]
-    fn bounded_skeleton_matches_fresh_below_ceiling() {
-        let branches: Vec<Spg> = (0..3)
-            .map(|i| chain(&[2e8 + i as f64, 3e8], &[1e4]))
-            .collect();
-        let g = spg::series(&chain(&[1e8, 2e8], &[1e4]), &parallel_many(&branches));
-        let pf = Platform::paper(2, 3);
-        let cfg = Dpa1dConfig::default();
-        let sh = shared(&g, cfg.ideal_cap);
-        let complete = build_skeleton(&g, &pf, &sh, cfg.edge_cap).unwrap();
-        let ceiling = 0.5;
-        let bounded = build_skeleton_bounded(&g, &pf, &sh, cfg.edge_cap, ceiling).unwrap();
-        assert!(bounded.n_transitions() <= complete.n_transitions());
-        for period in [0.5, 0.2, 0.05, 0.01] {
-            let adm = Admission::new(&pf, period);
-            assert_eq!(
-                bounded.admitted_count(&adm),
-                complete.admitted_count(&adm),
-                "admitted sets must agree at T={period}"
-            );
-            let fresh = solve_chain_fresh(&g, &pf, period, &cfg, &sh);
-            let served = solve_chain_skeleton(
-                &g,
-                &pf,
-                period,
-                &cfg,
-                &sh.lattice,
-                &bounded,
-                RELAX_PAR_THRESHOLD,
-            );
-            match (&fresh, &served) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "bounded skeleton diverged at T={period}"),
-                (Err(_), Err(_)) => {}
-                other => panic!("path outcomes diverged at T={period}: {other:?}"),
-            }
-        }
     }
 
     /// With dominance on, the fresh walk ignores the edge cap and matches
@@ -1859,7 +1588,7 @@ mod tests {
         let pf = Platform::paper(2, 3);
         let base = Dpa1dConfig::default();
         let sh = shared(&g, base.ideal_cap);
-        let sk = build_skeleton(&g, &pf, &sh, base.edge_cap).unwrap();
+        let sk = TransitionSkeleton::build(&g, &pf, &sh, base.edge_cap).unwrap();
         for period in [1.0, 0.5] {
             let full = solve_chain_skeleton(
                 &g,
@@ -1974,25 +1703,5 @@ mod tests {
             exact.energy(),
             capped.energy()
         );
-    }
-
-    /// A skeleton image with no blocks must not decode when its transposed
-    /// index still names a block: the parallel relaxation would index the
-    /// empty block list.
-    #[test]
-    fn from_bytes_rejects_a_transposed_entry_without_blocks() {
-        let crafted = TransitionSkeleton {
-            blocks: Vec::new(),
-            to: vec![IdealId(0)],
-            work: vec![1.0],
-            max_stages: 1,
-            in_off: vec![0, 1],
-            in_idx: vec![0],
-            in_block: vec![0],
-            level_off: vec![0, 1],
-            period_ceiling: f64::INFINITY,
-        };
-        let err = TransitionSkeleton::from_bytes(&crafted.to_bytes()).unwrap_err();
-        assert!(err.contains("out-of-range"), "{err}");
     }
 }

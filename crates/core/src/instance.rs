@@ -11,8 +11,9 @@
 //!   every portfolio member;
 //! * `DPA1D`'s **transition skeleton** ([`TransitionSkeleton`]) — the
 //!   complete cluster-transition system over the lattice, which turns
-//!   each period-sweep point into a threshold-admission pass instead of a
-//!   lattice re-walk;
+//!   each point of a multi-point [`crate::PeriodSweep`] into a
+//!   threshold-admission pass instead of a lattice re-walk (one-shot
+//!   solves never build it);
 //! * the **snake order** of the grid (used by `DPA1D` and `DPA2D1D`);
 //! * the **topological stage order** (used by the exact solver);
 //! * the per-stage **speed-feasibility table** (the slowest speed able to
@@ -25,6 +26,7 @@
 //! lattice, snake, and topological order warm — exactly what the §6.1.3
 //! period probe needs.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cmp_mapping::{evaluate_with, Evaluation, Mapping, MappingError};
@@ -33,7 +35,7 @@ use spg::ideal::{enumerate_ideals, IdealError, IdealLattice};
 use spg::{Edit, Spg, StageId};
 
 use crate::common::Failure;
-use crate::dpa1d::{build_skeleton, build_skeleton_bounded, Dpa1dConfig, TransitionSkeleton};
+use crate::dpa1d::{Dpa1dConfig, TransitionSkeleton};
 
 /// The interned ideal lattice of an instance together with the per-ideal
 /// cut volumes `DPA1D` prices its uni-line links with. Both are
@@ -92,32 +94,11 @@ impl SharedLattice {
 /// size for SP graphs, a lower bound otherwise).
 type LatticeSlot = Mutex<Option<Result<Arc<SharedLattice>, IdealError>>>;
 
-/// Cached `DPA1D` transition skeleton: the lattice it was built from (by
-/// pointer), the edge cap the build ran under, and the outcome. A success
-/// serves *any* edge cap (per-period admission enforces the cap on the
-/// admitted count, not on the index size); a build failure at cap `c`
-/// answers any request with cap ≤ `c` (the complete set is even larger).
+/// Cached `DPA1D` transition skeleton: the edge cap the build ran under,
+/// and the outcome. A success serves *any* edge cap (per-period admission
+/// enforces the cap on the admitted count, not on the index size); a build
+/// failure at cap `c` answers any request with cap ≤ `c`.
 type SkeletonSlot = Mutex<Option<(usize, Result<Arc<TransitionSkeleton>, Failure>)>>;
-
-/// Cached work-ceiling bounded skeleton state (the fallback when the
-/// complete transition set overflows the edge cap): at most one built
-/// artifact — the loosest ceiling built so far, which serves every period
-/// at or below it — plus the most binding build *failure* observed.
-///
-/// The failure is keyed by both the edge cap it was attempted under and
-/// the ceiling it was attempted at: bounded builds are monotone in both,
-/// so a failure at `(cap, ceiling)` proves failure for any `cap' ≤ cap`
-/// at any `ceiling' ≥ ceiling` — and proves nothing about tighter
-/// ceilings. That keying is what lets a tighter sweep point retry (and
-/// succeed) after a looser point's build overflowed, where a bare
-/// "build failed once" flag would poison the whole session.
-#[derive(Default, Clone)]
-struct BoundedSkeleton {
-    built: Option<Arc<TransitionSkeleton>>,
-    /// `(edge_cap, ceiling)` of the most binding failed build: tightest
-    /// ceiling first, largest cap among equal ceilings.
-    failed: Option<(usize, f64)>,
-}
 
 /// Period-independent derived structures, shared between an instance and
 /// its [`Instance::with_period`] re-targets.
@@ -125,11 +106,10 @@ struct BoundedSkeleton {
 struct Derived {
     lattice: LatticeSlot,
     skeleton: SkeletonSlot,
-    bounded: Mutex<BoundedSkeleton>,
-    /// The loosest period a sweep over this instance intends to request
-    /// (see [`Instance::note_period_ceiling`]): bounded builds target it
-    /// so one artifact serves the whole grid. `0.0` until noted.
-    sweep_ceiling: Mutex<f64>,
+    /// Set by a [`crate::PeriodSweep`] over two or more points: only such
+    /// a session has `DPA1D` build and share the transition skeleton (see
+    /// [`Instance::mark_sweep`]).
+    sweep: AtomicBool,
     snake: OnceLock<Vec<CoreId>>,
     topo: OnceLock<Vec<StageId>>,
     /// One lazily built precomputed route table per [`RoutePolicy`]
@@ -290,21 +270,16 @@ impl Instance {
     /// transition system over the interned lattice, built at most once and
     /// shared across [`Instance::with_period`] re-targets — each sweep
     /// point then pays only the threshold-admission pass and the per-period
-    /// `Ecal` lookups instead of re-walking the lattice.
+    /// `Ecal` lookups instead of re-walking the lattice. The `DPA1D` solver
+    /// asks for it only inside a multi-point [`crate::PeriodSweep`].
     ///
     /// Returns:
     ///
-    /// * `Ok(Some(_))` — a skeleton serving this session's period: the
-    ///   complete build when it fits `cfg.edge_cap`, else a work-ceiling
-    ///   bounded build targeting the loosest period the session is known
-    ///   to need (see [`Instance::note_period_ceiling`]) — exact for
-    ///   every period it [`TransitionSkeleton::serves`];
-    /// * `Ok(None)` — neither the complete set nor any candidate bounded
-    ///   build fits `cfg.edge_cap`; the solver then runs the fresh
-    ///   per-period walk, which stores no transitions (failures are
-    ///   cached too, keyed by the cap — and, for bounded builds, the
-    ///   ceiling — they were attempted under, so only genuinely new
-    ///   requests re-run a build);
+    /// * `Ok(Some(_))` — the complete skeleton, which fits `cfg.edge_cap`;
+    /// * `Ok(None)` — the complete set overflows `cfg.edge_cap`; the solver
+    ///   then runs the fresh per-period walk, which stores no transitions
+    ///   (the failure is cached too, keyed by the cap it was attempted
+    ///   under, so only a larger cap re-runs the build);
     /// * `Err(_)` — lattice enumeration itself exceeded `cfg.ideal_cap`.
     pub fn transition_skeleton(
         &self,
@@ -313,99 +288,31 @@ impl Instance {
         let shared = self
             .lattice(cfg.ideal_cap)
             .map_err(|e| crate::dpa1d::lattice_failure(&e))?;
-        {
-            let mut slot = self.derived.skeleton.lock().unwrap();
-            let known_overflow = match slot.as_ref() {
-                Some((_, Ok(sk))) => return Ok(Some(Arc::clone(sk))),
-                // A complete-build overflow at cap ≥ ours is proof ours
-                // overflows too; a *smaller* failed cap proves nothing, so
-                // fall through and (re)try the complete build.
-                Some((built_cap, Err(_))) => cfg.edge_cap <= *built_cap,
-                None => false,
-            };
-            if !known_overflow {
-                let res = build_skeleton(self.spg(), self.platform(), &shared, cfg.edge_cap)
-                    .map(Arc::new);
-                *slot = Some((cfg.edge_cap, res.clone()));
-                if let Ok(sk) = res {
-                    return Ok(Some(sk));
-                }
-            }
+        let mut slot = self.derived.skeleton.lock().unwrap();
+        match slot.as_ref() {
+            Some((_, Ok(sk))) => return Ok(Some(Arc::clone(sk))),
+            // An overflow at a cap ≥ ours is proof ours overflows too; a
+            // *smaller* failed cap proves nothing, so retry the build.
+            Some((built_cap, Err(_))) if cfg.edge_cap <= *built_cap => return Ok(None),
+            _ => {}
         }
-        // The complete set is over budget: fall back to a bounded build.
-        self.bounded_skeleton(cfg, &shared)
+        let res = TransitionSkeleton::build(self.spg(), self.platform(), &shared, cfg.edge_cap)
+            .map(Arc::new);
+        *slot = Some((cfg.edge_cap, res.clone()));
+        Ok(res.ok())
     }
 
-    /// The work-ceiling bounded fallback of [`Instance::transition_skeleton`].
-    /// Candidate ceilings run loosest first — the sweep-grid hint (one
-    /// build serves the whole grid), then this session's own period — and
-    /// each is skipped when a recorded failure already proves it overflows
-    /// at this cap.
-    fn bounded_skeleton(
-        &self,
-        cfg: &Dpa1dConfig,
-        shared: &Arc<SharedLattice>,
-    ) -> Result<Option<Arc<TransitionSkeleton>>, Failure> {
-        let hint = *self.derived.sweep_ceiling.lock().unwrap();
-        let mut slot = self.derived.bounded.lock().unwrap();
-        if let Some(sk) = &slot.built {
-            if sk.serves(self.period) {
-                return Ok(Some(Arc::clone(sk)));
-            }
-        }
-        let loosest = hint.max(self.period);
-        let mut candidates = vec![loosest];
-        if self.period < loosest {
-            candidates.push(self.period);
-        }
-        for ceiling in candidates {
-            if let Some((fcap, fceil)) = slot.failed {
-                if cfg.edge_cap <= fcap && ceiling >= fceil {
-                    continue; // proven overflow at this cap and ceiling
-                }
-            }
-            match build_skeleton_bounded(self.spg(), self.platform(), shared, cfg.edge_cap, ceiling)
-            {
-                Ok(sk) => {
-                    let sk = Arc::new(sk);
-                    // Cache the loosest built artifact (it strictly
-                    // subsumes tighter ones); always serve the fresh one.
-                    if slot
-                        .built
-                        .as_ref()
-                        .is_none_or(|b| sk.period_ceiling() > b.period_ceiling())
-                    {
-                        slot.built = Some(Arc::clone(&sk));
-                    }
-                    return Ok(Some(sk));
-                }
-                Err(_) => {
-                    slot.failed = Some(match slot.failed {
-                        // Keep the tightest-ceiling record (it covers the
-                        // largest request region); merge caps on a tie.
-                        Some((fc, fceil)) if fceil < ceiling => (fc, fceil),
-                        Some((fc, fceil)) if fceil == ceiling => (fc.max(cfg.edge_cap), fceil),
-                        _ => (cfg.edge_cap, ceiling),
-                    });
-                }
-            }
-        }
-        Ok(None)
+    /// Marks the shared derived state as a multi-point sweep session, so
+    /// `DPA1D` solves on it (and on every [`Instance::with_period`]
+    /// re-target) amortise one transition skeleton across the points.
+    pub(crate) fn mark_sweep(&self) {
+        self.derived.sweep.store(true, Ordering::Relaxed);
     }
 
-    /// Records (max-accumulating) the loosest period this session — or a
-    /// [`Instance::with_period`] re-target sharing its caches — intends to
-    /// request. Period sweeps call this with their grid's loosest resolved
-    /// point before fanning out, so the first bounded skeleton build
-    /// targets a ceiling serving *every* point exactly (see
-    /// [`TransitionSkeleton::serves`]).
-    pub fn note_period_ceiling(&self, period: f64) {
-        if period.is_finite() && period > 0.0 {
-            let mut hint = self.derived.sweep_ceiling.lock().unwrap();
-            if period > *hint {
-                *hint = period;
-            }
-        }
+    /// Whether [`Instance::mark_sweep`] was called on this session's
+    /// shared derived state.
+    pub(crate) fn in_sweep(&self) -> bool {
+        self.derived.sweep.load(Ordering::Relaxed)
     }
 
     /// The precomputed route table for one routing policy on this
@@ -444,19 +351,17 @@ impl Instance {
         slot.as_ref().and_then(|res| res.as_ref().ok().cloned())
     }
 
-    /// Peeks at the cached *complete* transition skeleton without building
-    /// it (bounded artifacts have their own peek,
-    /// [`Instance::cached_bounded_skeleton`]).
+    /// Peeks at the cached transition skeleton without building it.
     pub fn cached_skeleton(&self) -> Option<Arc<TransitionSkeleton>> {
         let slot = self.derived.skeleton.lock().unwrap();
         slot.as_ref()
             .and_then(|(_, res)| res.as_ref().ok().cloned())
     }
 
-    /// Peeks at the cached work-ceiling bounded skeleton (the loosest one
-    /// built on this session) without building it.
+    /// Always `None`: no work-ceiling bounded skeleton is ever built. This
+    /// exists only because the frozen `perfbench/` harness still calls it.
     pub fn cached_bounded_skeleton(&self) -> Option<Arc<TransitionSkeleton>> {
-        self.derived.bounded.lock().unwrap().built.clone()
+        None
     }
 
     /// Peeks at the cached route table for one policy without building it.
@@ -476,27 +381,14 @@ impl Instance {
         }
     }
 
-    /// Seeds the skeleton cache (see [`Instance::seed_lattice`]). Routes
-    /// by build kind: a complete artifact fills the complete slot (first
+    /// Seeds the skeleton cache (see [`Instance::seed_lattice`]). First
     /// success wins, but it may replace a cached build *failure* — the
-    /// donor evidently built it under a larger cap); a bounded artifact
-    /// fills the bounded slot when it is looser than what is already
-    /// there. A cached success serves any edge cap, so no cap is recorded.
+    /// donor evidently built it under a larger cap. A cached success
+    /// serves any edge cap, so no cap is recorded.
     pub fn seed_skeleton(&self, skeleton: Arc<TransitionSkeleton>) {
-        if skeleton.is_complete() {
-            let mut slot = self.derived.skeleton.lock().unwrap();
-            if !matches!(slot.as_ref(), Some((_, Ok(_)))) {
-                *slot = Some((0, Ok(skeleton)));
-            }
-        } else {
-            let mut slot = self.derived.bounded.lock().unwrap();
-            if slot
-                .built
-                .as_ref()
-                .is_none_or(|b| skeleton.period_ceiling() > b.period_ceiling())
-            {
-                slot.built = Some(skeleton);
-            }
+        let mut slot = self.derived.skeleton.lock().unwrap();
+        if !matches!(slot.as_ref(), Some((_, Ok(_)))) {
+            *slot = Some((0, Ok(skeleton)));
         }
     }
 
@@ -592,8 +484,8 @@ impl Instance {
     /// delta-patching the cached derived state instead of discarding it
     /// (see `docs/fault-model.md` for the full invalidation matrix):
     ///
-    /// * the ideal lattice, transition skeletons, snake/topological
-    ///   orders, sweep-ceiling hint, and per-stage speed table are all
+    /// * the ideal lattice, transition skeleton, snake/topological
+    ///   orders, sweep mark, and per-stage speed table are all
     ///   fault-invariant — shared or copied as-is;
     /// * on a **core** fault every built route table is reused verbatim
     ///   (routers outlive their PEs, so routes never change);
@@ -609,8 +501,7 @@ impl Instance {
         let derived = Derived {
             lattice: Mutex::new(self.derived.lattice.lock().unwrap().clone()),
             skeleton: Mutex::new(self.derived.skeleton.lock().unwrap().clone()),
-            bounded: Mutex::new(self.derived.bounded.lock().unwrap().clone()),
-            sweep_ceiling: Mutex::new(*self.derived.sweep_ceiling.lock().unwrap()),
+            sweep: AtomicBool::new(self.in_sweep()),
             snake: self.derived.snake.clone(),
             topo: self.derived.topo.clone(),
             route_tables: Default::default(),
@@ -642,11 +533,11 @@ impl Instance {
     ///   [`SharedLattice`] (cut volumes are weight-independent), a volume
     ///   edit clones the structure and recomputes the cut volumes — in
     ///   cold enumeration order, so they are bit-identical to a rebuild;
-    /// * transition skeletons are invalidated (their per-transition work
+    /// * the transition skeleton is invalidated (its per-transition work
     ///   sums and admission thresholds are value-derived) and rebuilt
     ///   lazily from the reused lattice;
-    /// * route tables, snake/topological orders, and the sweep-ceiling
-    ///   hint are workload-independent or structure-only — copied;
+    /// * route tables, snake/topological orders, and the sweep mark are
+    ///   workload-independent or structure-only — copied;
     /// * the per-stage speed table survives volume edits and is dropped on
     ///   weight retunes.
     ///
@@ -674,8 +565,7 @@ impl Instance {
             // Skeleton blocks embed value-derived work sums and admission
             // thresholds: rebuilt lazily from the reused lattice.
             skeleton: Mutex::new(None),
-            bounded: Mutex::new(BoundedSkeleton::default()),
-            sweep_ceiling: Mutex::new(*self.derived.sweep_ceiling.lock().unwrap()),
+            sweep: AtomicBool::new(self.in_sweep()),
             snake: self.derived.snake.clone(),
             topo: self.derived.topo.clone(),
             route_tables: Default::default(),
@@ -823,7 +713,6 @@ mod tests {
         let donor = Instance::new(g.clone(), Platform::paper(2, 2), 1.0);
         let sk = donor.transition_skeleton(&cfg).unwrap().unwrap();
         assert!(Arc::ptr_eq(&donor.cached_skeleton().unwrap(), &sk));
-        assert!(sk.size_bytes() > 0);
 
         let warm = Instance::new(g, Platform::paper(2, 2), 1.0);
         assert!(warm.cached_skeleton().is_none());
@@ -833,93 +722,29 @@ mod tests {
     }
 
     #[test]
-    fn bounded_fallback_after_complete_overflow() {
+    fn complete_overflow_is_cached_per_cap() {
         // 30-chain: the complete set (465 transitions) overflows an edge
-        // cap of 100, but the bounded build at the session period fits —
-        // the cache must fall through to it instead of giving up.
+        // cap of 100. The failure answers that cap (and smaller ones)
+        // without a rebuild; a larger cap retries and succeeds.
         let g = chain(&[1e6; 30], &[1e3; 29]);
-        let cfg = crate::dpa1d::Dpa1dConfig {
+        let tight = crate::dpa1d::Dpa1dConfig {
             edge_cap: 100,
             ..Default::default()
         };
         let inst = Instance::new(g, Platform::paper(2, 2), 0.003);
-        let sk = inst.transition_skeleton(&cfg).unwrap().unwrap();
-        assert!(!sk.is_complete() && sk.serves(0.003));
-        assert!(
-            inst.cached_skeleton().is_none(),
-            "complete slot holds a failure"
-        );
-        assert!(Arc::ptr_eq(&inst.cached_bounded_skeleton().unwrap(), &sk));
-        // A tighter re-target is served from the same cached artifact.
-        let sk2 = inst
+        assert!(inst.transition_skeleton(&tight).unwrap().is_none());
+        assert!(inst.cached_skeleton().is_none(), "slot holds the failure");
+        assert!(inst
             .with_period(0.001)
-            .transition_skeleton(&cfg)
+            .transition_skeleton(&tight)
+            .unwrap()
+            .is_none());
+        let sk = inst
+            .transition_skeleton(&crate::dpa1d::Dpa1dConfig::default())
             .unwrap()
             .unwrap();
-        assert!(Arc::ptr_eq(&sk, &sk2));
-    }
-
-    #[test]
-    fn bounded_failures_keyed_by_cap_and_ceiling() {
-        // A loose period's bounded build overflows the cap (its ceiling
-        // admits the whole complete set); a tighter request afterwards
-        // must retry at its own ceiling and succeed rather than inherit
-        // the failure — the regression this PR fixes.
-        let g = chain(&[1e6; 30], &[1e3; 29]);
-        let cfg = crate::dpa1d::Dpa1dConfig {
-            edge_cap: 100,
-            ..Default::default()
-        };
-        let loose = Instance::new(g, Platform::paper(2, 2), 0.03);
-        assert!(loose.transition_skeleton(&cfg).unwrap().is_none());
-        let sk = loose
-            .with_period(0.003)
-            .transition_skeleton(&cfg)
-            .unwrap()
-            .unwrap();
-        assert!(sk.serves(0.003));
-        // The loose request still answers `None` off the recorded failure
-        // (its ceiling is at least the failed one at the same cap).
-        assert!(loose.transition_skeleton(&cfg).unwrap().is_none());
-    }
-
-    #[test]
-    fn sweep_ceiling_hint_targets_one_build() {
-        let g = chain(&[1e6; 30], &[1e3; 29]);
-        let cfg = crate::dpa1d::Dpa1dConfig {
-            edge_cap: 100,
-            ..Default::default()
-        };
-        let inst = Instance::new(g, Platform::paper(2, 2), 0.001);
-        inst.note_period_ceiling(0.003);
-        let sk = inst.transition_skeleton(&cfg).unwrap().unwrap();
-        // Built at the noted grid ceiling, not the session period, so the
-        // same artifact serves every point of the sweep.
-        assert!(sk.serves(0.003));
-        let sk2 = inst
-            .with_period(0.003)
-            .transition_skeleton(&cfg)
-            .unwrap()
-            .unwrap();
-        assert!(Arc::ptr_eq(&sk, &sk2));
-    }
-
-    #[test]
-    fn seeded_bounded_skeleton_routes_to_bounded_slot() {
-        let g = chain(&[1e6; 30], &[1e3; 29]);
-        let cfg = crate::dpa1d::Dpa1dConfig {
-            edge_cap: 100,
-            ..Default::default()
-        };
-        let donor = Instance::new(g.clone(), Platform::paper(2, 2), 0.003);
-        let sk = donor.transition_skeleton(&cfg).unwrap().unwrap();
-        assert!(!sk.is_complete());
-        let warm = Instance::new(g, Platform::paper(2, 2), 0.003);
-        warm.seed_skeleton(Arc::clone(&sk));
-        assert!(warm.cached_skeleton().is_none());
-        assert!(Arc::ptr_eq(&warm.cached_bounded_skeleton().unwrap(), &sk));
-        let served = warm.transition_skeleton(&cfg).unwrap().unwrap();
-        assert!(Arc::ptr_eq(&served, &sk), "seed must serve the build");
+        assert_eq!(sk.n_transitions(), 465);
+        assert!(Arc::ptr_eq(&inst.cached_skeleton().unwrap(), &sk));
     }
 
     #[test]
@@ -932,10 +757,12 @@ mod tests {
             .unwrap()
             .unwrap();
         let xy = inst.route_table(RoutePolicy::Xy);
+        inst.mark_sweep();
 
         // Core fault: everything survives, route tables byte-for-byte.
         let core_hurt = inst.with_fault(cmp_platform::Fault::Core(CoreId { u: 1, v: 1 }));
         assert!(!core_hurt.platform().core_alive(CoreId { u: 1, v: 1 }));
+        assert!(core_hurt.in_sweep(), "the sweep mark is fault-invariant");
         assert!(Arc::ptr_eq(&core_hurt.lattice(10_000).unwrap(), &lat));
         assert!(Arc::ptr_eq(&core_hurt.cached_skeleton().unwrap(), &sk));
         assert!(Arc::ptr_eq(

@@ -1,12 +1,14 @@
 //! The byte-bounded LRU artifact cache.
 //!
 //! A daemon outlives any single request, so the expensive derived state an
-//! [`crate::Instance`] builds lazily — the interned ideal lattice, the
-//! `DPA1D` transition skeleton, per-policy route tables — can be kept and
-//! re-seeded into later instances whose *content* matches (see
-//! [`super::fingerprint`]). All three artifacts are period-independent,
-//! which is exactly why `Instance::with_period` shares them; the cache
-//! extends that sharing across requests and connections.
+//! [`crate::Instance`] builds lazily — the interned ideal lattice and the
+//! per-policy route tables — can be kept and re-seeded into later
+//! instances whose *content* matches (see [`super::fingerprint`]). Both
+//! artifacts are period-independent, which is exactly why
+//! `Instance::with_period` shares them; the cache extends that sharing
+//! across requests and connections. (`DPA1D`'s transition skeleton is
+//! not cached: only a multi-point `PeriodSweep` builds one, and a daemon
+//! request never does.)
 //!
 //! The bound is **bytes**, not entries: one Filterbank lattice outweighs a
 //! thousand route tables, so an entry-count LRU would be meaningless. Each
@@ -25,16 +27,13 @@ use std::sync::Arc;
 
 use cmp_platform::RouteTable;
 
-use crate::dpa1d::TransitionSkeleton;
 use crate::instance::SharedLattice;
 
 /// Cache key: which artifact, derived from which content.
 ///
 /// Fingerprints (see [`super::fingerprint`]) stand in for the content
-/// itself. The skeleton key carries both fingerprints because the
-/// transition skeleton folds platform quantities (DVFS table, snake
-/// route) into workload structure; route tables never look at the
-/// workload.
+/// itself: a lattice depends on the workload only, a route table on the
+/// platform only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArtifactKey {
     /// Interned ideal lattice + cut volumes for a workload.
@@ -42,24 +41,10 @@ pub enum ArtifactKey {
         /// [`super::fingerprint::workload_fingerprint`] of the SPG.
         workload: u64,
     },
-    /// `DPA1D` transition skeleton for a workload on a platform.
-    ///
-    /// `ceiling` is the bit pattern of the skeleton's
-    /// [`TransitionSkeleton::period_ceiling`]
-    /// (`f64::INFINITY.to_bits()` for a complete skeleton), so bounded
-    /// and complete artifacts for the same workload/platform pair
-    /// coexist instead of shadowing each other.
-    Skeleton {
-        /// Workload fingerprint.
-        workload: u64,
-        /// [`super::fingerprint::platform_fingerprint`] of the platform.
-        platform: u64,
-        /// `f64::to_bits` of the skeleton's period ceiling.
-        ceiling: u64,
-    },
     /// Route table for a platform under one routing policy.
     Route {
-        /// Platform fingerprint.
+        /// [`super::fingerprint::route_platform_fingerprint`] of the
+        /// platform.
         platform: u64,
         /// [`cmp_platform::RoutePolicy::index`] of the policy.
         policy: u8,
@@ -71,7 +56,6 @@ impl ArtifactKey {
     pub fn kind(&self) -> &'static str {
         match self {
             ArtifactKey::Lattice { .. } => "lattice",
-            ArtifactKey::Skeleton { .. } => "skeleton",
             ArtifactKey::Route { .. } => "route",
         }
     }
@@ -81,13 +65,6 @@ impl std::fmt::Display for ArtifactKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ArtifactKey::Lattice { workload } => write!(f, "lattice/{workload:016x}"),
-            ArtifactKey::Skeleton {
-                workload,
-                platform,
-                ceiling,
-            } => {
-                write!(f, "skeleton/{workload:016x}/{platform:016x}/{ceiling:016x}")
-            }
             ArtifactKey::Route { platform, policy } => {
                 write!(f, "route/{platform:016x}/{policy}")
             }
@@ -100,8 +77,6 @@ impl std::fmt::Display for ArtifactKey {
 pub enum Artifact {
     /// See [`SharedLattice`].
     Lattice(Arc<SharedLattice>),
-    /// See [`TransitionSkeleton`].
-    Skeleton(Arc<TransitionSkeleton>),
     /// See [`RouteTable`].
     Route(Arc<RouteTable>),
 }
@@ -110,7 +85,6 @@ impl std::fmt::Debug for Artifact {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match self {
             Artifact::Lattice(_) => "Lattice",
-            Artifact::Skeleton(_) => "Skeleton",
             Artifact::Route(_) => "Route",
         };
         write!(f, "Artifact::{kind}({} bytes)", self.size_bytes())
@@ -122,7 +96,6 @@ impl Artifact {
     pub fn size_bytes(&self) -> usize {
         match self {
             Artifact::Lattice(l) => l.size_bytes(),
-            Artifact::Skeleton(s) => s.size_bytes(),
             Artifact::Route(r) => r.size_bytes(),
         }
     }
@@ -295,23 +268,11 @@ mod tests {
     fn artifacts() -> Vec<(ArtifactKey, Artifact)> {
         let inst = Instance::new(spg::chain(&[2e8; 6], &[1e4; 5]), Platform::paper(2, 2), 0.5);
         let lattice = inst.lattice(10_000).unwrap();
-        let skeleton = inst
-            .transition_skeleton(&crate::Dpa1dConfig::default())
-            .unwrap()
-            .expect("a 6-stage chain fits the default edge cap");
         let route = inst.route_table(RoutePolicy::Xy);
         vec![
             (
                 ArtifactKey::Lattice { workload: 1 },
                 Artifact::Lattice(lattice),
-            ),
-            (
-                ArtifactKey::Skeleton {
-                    workload: 1,
-                    platform: 9,
-                    ceiling: f64::INFINITY.to_bits(),
-                },
-                Artifact::Skeleton(skeleton),
             ),
             (
                 ArtifactKey::Route {
@@ -336,8 +297,8 @@ mod tests {
             assert!(cache.get(k).is_some());
         }
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (3, 3, 0));
-        assert_eq!(s.entries, 3);
+        assert_eq!((s.hits, s.misses, s.evictions), (2, 2, 0));
+        assert_eq!(s.entries, 2);
         assert_eq!(s.bytes, expected_bytes);
         assert!(s.bytes > 0, "artifacts must report non-zero footprints");
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
@@ -346,7 +307,7 @@ mod tests {
     #[test]
     fn evicts_least_recently_used_deterministically() {
         let arts = artifacts();
-        // Bound that fits the three artifacts exactly — any further insert
+        // Bound that fits the two artifacts exactly — any further insert
         // must evict.
         let total: usize = arts.iter().map(|(_, a)| a.size_bytes()).sum();
         let limit = total;

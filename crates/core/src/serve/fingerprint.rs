@@ -10,8 +10,8 @@
 //! * a **workload** fingerprint covers stage count, weights, labels and
 //!   edges (the ideal lattice and cut volumes depend on nothing else);
 //! * a **platform** fingerprint covers the grid shape, topology, routing
-//!   policy, link parameters and the full DVFS table (route tables and the
-//!   transition skeleton depend on these).
+//!   policy, link parameters and the full DVFS table (route tables depend
+//!   on these).
 //!
 //! FNV-1a is used deliberately: it is dependency-free, byte-order stable,
 //! and collisions between the handful of artifacts a daemon holds are
@@ -127,10 +127,9 @@ pub fn platform_fingerprint(pf: &Platform) -> u64 {
 }
 
 /// The *fault-stripped* platform fingerprint: what the healthy twin would
-/// hash to. This keys fault-invariant artifacts — the `DPA1D` transition
-/// skeleton ignores faults entirely (placement handles them), so a
-/// faulted request warm-hits the skeleton a healthy solve materialised
-/// (see `docs/fault-model.md`).
+/// hash to. A link-faulted request that misses its own route table looks
+/// up the healthy sibling's table under this key and patches it (see
+/// `docs/fault-model.md`).
 pub fn fault_free_platform_fingerprint(pf: &Platform) -> u64 {
     let mut h = Fingerprint::new();
     hash_platform_base(&mut h, pf);
@@ -208,7 +207,7 @@ mod tests {
             fps.iter().collect::<std::collections::HashSet<_>>().len(),
             3
         );
-        // Fault-stripped: all three agree (skeleton sharing).
+        // Fault-stripped: all three agree (healthy-sibling lookup).
         assert_eq!(
             fault_free_platform_fingerprint(&core_hurt),
             platform_fingerprint(&base)

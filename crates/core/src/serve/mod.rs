@@ -4,11 +4,11 @@
 //! run a [`crate::Portfolio`], print energies — this module does behind a
 //! socket, with one addition that only a long-lived process can offer: a
 //! bounded, fingerprint-keyed **artifact cache**. The expensive
-//! period-independent structures (`DPA1D`'s interned ideal lattice, the
-//! transition skeleton, per-policy route tables) survive across requests,
-//! so repeated studies over the same workloads skip straight to the
-//! dynamic programs while staying **bit-identical in energy** to cold
-//! solves — the cache holds inputs to the solvers, never their answers.
+//! period-independent structures (`DPA1D`'s interned ideal lattice and
+//! per-policy route tables) survive across requests, so repeated studies
+//! over the same workloads skip straight to the dynamic programs while
+//! staying **bit-identical in energy** to cold solves — the cache holds
+//! inputs to the solvers, never their answers.
 //!
 //! * [`protocol`] — length-prefixed JSON frames and the request grammar
 //!   (see `docs/serve-protocol.md` for the wire-level reference);

@@ -37,13 +37,13 @@
 //! ## Warm solves are bit-identical to cold solves
 //!
 //! The cache never stores *answers* — it stores the period-independent
-//! derived state ([`crate::SharedLattice`], [`crate::TransitionSkeleton`],
-//! [`cmp_platform::RouteTable`]) that an [`Instance`] would rebuild from
-//! scratch. A warm request seeds those artifacts into a fresh `Instance`
-//! whose content fingerprints match, and the solvers then run exactly the
-//! code they run cold, over structures that are value-equal by
-//! construction. Energies therefore agree bit-for-bit; only wall time
-//! changes. The integration suite asserts this across the StreamIt table.
+//! derived state ([`crate::SharedLattice`], [`cmp_platform::RouteTable`])
+//! that an [`Instance`] would rebuild from scratch. A warm request seeds
+//! those artifacts into a fresh `Instance` whose content fingerprints
+//! match, and the solvers then run exactly the code they run cold, over
+//! structures that are value-equal by construction. Energies therefore
+//! agree bit-for-bit; only wall time changes. The integration suite
+//! asserts this across the StreamIt table.
 //!
 //! ## Shutdown discipline
 //!
@@ -244,37 +244,20 @@ impl Drop for Service {
 /// sweeps share it, so both settle the same way.
 struct Seeded {
     inst: Instance,
-    /// The lattice, complete-skeleton and route keys.
-    keys: [ArtifactKey; 3],
+    /// The lattice and route keys.
+    keys: [ArtifactKey; 2],
     /// Which of `keys` hit.
-    hits: [bool; 3],
+    hits: [bool; 2],
     /// A missed route table was derived by patching a cached healthy
     /// sibling.
     route_patched: bool,
-    /// A cached bounded skeleton stood in for the missed complete one.
-    bounded_hit: bool,
 }
 
 impl Seeded {
     /// Whether every artifact came from the cache (a patched route table
-    /// and a bounded skeleton count).
+    /// counts).
     fn warm(&self) -> bool {
-        self.hits[0] && (self.hits[1] || self.bounded_hit) && (self.hits[2] || self.route_patched)
-    }
-
-    /// The cache key of a bounded skeleton built under `ceiling`.
-    fn bounded_key(&self, ceiling: f64) -> ArtifactKey {
-        let ArtifactKey::Skeleton {
-            workload, platform, ..
-        } = self.keys[1]
-        else {
-            unreachable!("keys[1] is the skeleton key");
-        };
-        ArtifactKey::Skeleton {
-            workload,
-            platform,
-            ceiling: ceiling.to_bits(),
-        }
+        self.hits[0] && (self.hits[1] || self.route_patched)
     }
 }
 
@@ -506,28 +489,15 @@ impl ServiceCore {
         Ok((workload, solvers))
     }
 
-    /// The three cache keys a request probes, with fault-aware keying
+    /// The two cache keys a request probes, with fault-aware keying
     /// (see [`ServiceCore::seeded_instance`]).
-    fn request_keys(workload: &spg::Spg, platform: &Platform) -> [ArtifactKey; 3] {
-        let wfp = workload_fingerprint(workload);
-        let pfp = platform_fingerprint(platform);
-        let (skeleton_pfp, route_pfp) = if platform.is_faulted() {
-            (
-                fault_free_platform_fingerprint(platform),
-                route_platform_fingerprint(platform),
-            )
-        } else {
-            (pfp, pfp)
-        };
+    fn request_keys(workload: &spg::Spg, platform: &Platform) -> [ArtifactKey; 2] {
         [
-            ArtifactKey::Lattice { workload: wfp },
-            ArtifactKey::Skeleton {
-                workload: wfp,
-                platform: skeleton_pfp,
-                ceiling: f64::INFINITY.to_bits(),
+            ArtifactKey::Lattice {
+                workload: workload_fingerprint(workload),
             },
             ArtifactKey::Route {
-                platform: route_pfp,
+                platform: route_platform_fingerprint(platform),
                 policy: platform.policy.index() as u8,
             },
         ]
@@ -587,11 +557,10 @@ impl ServiceCore {
     /// cache, recording which keys hit and whether a missed route table
     /// was *derived* by patching a cached healthy sibling.
     ///
-    /// Fault-aware keying (see `docs/fault-model.md`): the skeleton key
-    /// uses the fault-stripped platform fingerprint (the transition
-    /// skeleton ignores faults), the route key strips only core faults
-    /// (core faults leave routing untouched), and a link-faulted route
-    /// miss falls back to patching the healthy table via
+    /// Fault-aware keying (see `docs/fault-model.md`): the lattice key
+    /// ignores the platform, the route key strips core faults (core faults
+    /// leave routing untouched), and a link-faulted route miss falls back
+    /// to patching the healthy table via
     /// [`cmp_platform::RouteTable::patched`] — so a warm daemon stays
     /// warm across faults instead of rebuilding from scratch.
     fn seeded_instance(
@@ -606,20 +575,19 @@ impl ServiceCore {
             PeriodReq::Period(t) => Instance::new(workload, platform.clone(), t),
             PeriodReq::Utilisation(u) => Instance::for_utilisation(workload, platform.clone(), u),
         };
-        let mut hits = [false; 3];
+        let mut hits = [false; 2];
         let mut cache = self.cache.lock().unwrap();
         for (i, key) in keys.iter().enumerate() {
             if let Some(artifact) = cache.get(key) {
                 hits[i] = true;
                 match artifact {
                     Artifact::Lattice(l) => inst.seed_lattice(l),
-                    Artifact::Skeleton(s) => inst.seed_skeleton(s),
                     Artifact::Route(r) => inst.seed_route_table(policy, r),
                 }
             }
         }
         let mut route_patched = false;
-        if !hits[2] && platform.has_link_faults() {
+        if !hits[1] && platform.has_link_faults() {
             let healthy_key = ArtifactKey::Route {
                 platform: fault_free_platform_fingerprint(platform),
                 policy: policy.index() as u8,
@@ -634,30 +602,11 @@ impl ServiceCore {
             keys,
             hits,
             route_patched,
-            bounded_hit: false,
-        }
-    }
-
-    /// When the complete-skeleton key missed, probes the cache for a
-    /// **bounded** skeleton whose work ceiling is `ceiling` (the period
-    /// the request would build one under — see
-    /// [`crate::TransitionSkeleton::period_ceiling`]) and seeds it on a
-    /// hit.
-    fn seed_bounded(&self, seeded: &mut Seeded, ceiling: f64) {
-        if seeded.hits[1] {
-            return;
-        }
-        let key = seeded.bounded_key(ceiling);
-        if let Some(Artifact::Skeleton(s)) = self.cache.lock().unwrap().get(&key) {
-            seeded.inst.seed_skeleton(s);
-            seeded.bounded_hit = true;
         }
     }
 
     /// Stores whichever artifacts a solve materialised that the cache did
-    /// not already hold. A bounded skeleton is keyed by the ceiling it was
-    /// actually built under, which may be looser than the probe ceiling
-    /// (the sweep hint wins). Returns the artifacts that were **newly
+    /// not already hold. Returns the artifacts that were **newly
     /// inserted** so the caller can spill them write-behind, outside the
     /// cache lock — even an entry the LRU immediately evicts is worth
     /// spilling, because the disk tier is what makes a restart warm.
@@ -677,25 +626,10 @@ impl ServiceCore {
             }
         }
         if !hits[1] {
-            if let Some(s) = inst.cached_skeleton() {
-                let a = Artifact::Skeleton(s);
-                if cache.insert(keys[1], a.clone()) {
-                    fresh.push((keys[1], a));
-                }
-            }
-        }
-        if let Some(b) = inst.cached_bounded_skeleton() {
-            let key = seeded.bounded_key(b.period_ceiling());
-            let a = Artifact::Skeleton(b);
-            if cache.insert(key, a.clone()) {
-                fresh.push((key, a));
-            }
-        }
-        if !hits[2] {
             if let Some(r) = inst.cached_route_table(policy) {
                 let a = Artifact::Route(r);
-                if cache.insert(keys[2], a.clone()) {
-                    fresh.push((keys[2], a));
+                if cache.insert(keys[1], a.clone()) {
+                    fresh.push((keys[1], a));
                 }
             }
         }
@@ -823,7 +757,7 @@ impl ServiceCore {
         }
         let deduped = total - groups.len() as u64;
         // Leaders prepare in parallel: cold preparation (lattice and
-        // skeleton construction) dominates a cold solve, and the inline
+        // route-table construction) dominates a cold solve, and the inline
         // path gets it concurrently for free on its connection threads —
         // a serial loop here would hand that advantage back. Cache
         // inserts only happen at settle time, so concurrent prepares see
@@ -887,12 +821,7 @@ impl ServiceCore {
         req: &SolveReq,
         arrival: Instant,
     ) -> PreparedSolve {
-        let mut seeded = self.seeded_instance(workload, &req.platform, req.period);
-        // A bounded skeleton built at exactly this period can stand in
-        // when no complete skeleton is cached (the complete build may
-        // overflow the edge cap for this workload entirely).
-        let period = seeded.inst.period();
-        self.seed_bounded(&mut seeded, period);
+        let seeded = self.seeded_instance(workload, &req.platform, req.period);
         let portfolio = self.portfolio(solvers, req.seed, req.deadline_ms, req.anytime, arrival);
         PreparedSolve { seeded, portfolio }
     }
@@ -913,16 +842,8 @@ impl ServiceCore {
                 Json::from(if s.hits[0] { "hit" } else { "miss" }),
             ),
             (
-                "skeleton",
-                Json::from(if s.hits[1] || s.bounded_hit {
-                    "hit"
-                } else {
-                    "miss"
-                }),
-            ),
-            (
                 "route",
-                Json::from(if s.hits[2] {
+                Json::from(if s.hits[1] {
                     "hit"
                 } else if s.route_patched {
                     "patched"
@@ -987,36 +908,17 @@ impl ServiceCore {
             Err(msg) => return error_response("bad_request", &msg),
         };
         // A sweep is a solve per grid value sharing one seeded instance
-        // session (so the lattice/skeleton build — or cache hit — pays
-        // once), with the deadline covering the *whole* sweep.
-        let mut seeded = self.seeded_instance(workload, &req.platform, PeriodReq::Period(1.0));
-        // Resolve the whole grid up front so the loosest period can (a)
-        // prime the bounded-skeleton ceiling hint — one bounded build then
-        // serves every tighter point — and (b) drive the warm-cache probe
-        // for a bounded artifact from an identical earlier sweep.
-        let periods: Vec<f64> = req
-            .values
-            .iter()
-            .map(|&value| {
-                if req.over_utilisation {
-                    seeded.inst.utilisation_period(value)
-                } else {
-                    value
-                }
-            })
-            .collect();
-        if let Some(loosest) = periods
-            .iter()
-            .copied()
-            .max_by(f64::total_cmp)
-            .filter(|t| t.is_finite() && *t > 0.0)
-        {
-            seeded.inst.note_period_ceiling(loosest);
-            self.seed_bounded(&mut seeded, loosest);
-        }
+        // session (so the lattice build — or cache hit — pays once), with
+        // the deadline covering the *whole* sweep.
+        let seeded = self.seeded_instance(workload, &req.platform, PeriodReq::Period(1.0));
         let mut points = Vec::with_capacity(req.values.len());
         let mut exhausted: Option<crate::common::Failure> = None;
-        for (&value, &period) in req.values.iter().zip(&periods) {
+        for &value in &req.values {
+            let period = if req.over_utilisation {
+                seeded.inst.utilisation_period(value)
+            } else {
+                value
+            };
             let inst = seeded.inst.with_period(period);
             let report = self
                 .portfolio(
@@ -1335,8 +1237,8 @@ impl Server {
 mod tests {
     use super::*;
 
-    /// A low-elevation workload so `DPA1D` materialises its lattice and
-    /// skeleton within the default caps (high-elevation StreamIt flows
+    /// A low-elevation workload so `DPA1D` materialises its lattice
+    /// within the default caps (high-elevation StreamIt flows
     /// overflow the ideal cap and legitimately cache nothing).
     fn solve_frame(seed: u64) -> Json {
         Json::parse(&format!(
@@ -1368,11 +1270,9 @@ mod tests {
             "warm energy must be bit-identical to cold"
         );
         let stats = svc.cache_stats();
-        assert_eq!(stats.entries, 3, "lattice + skeleton + route cached");
-        assert_eq!(stats.hits, 3);
-        // Cold probes four keys (the complete-skeleton miss triggers a
-        // bounded-skeleton probe); warm hits the three live entries.
-        assert_eq!(stats.misses, 4);
+        assert_eq!(stats.entries, 2, "lattice + route cached");
+        // Cold misses both keys; warm hits both live entries.
+        assert_eq!((stats.hits, stats.misses), (2, 2));
     }
 
     /// The same workload/platform/solvers as [`solve_frame`], with faults.
@@ -1401,8 +1301,9 @@ mod tests {
         let core = result_of(&svc.handle(&faulted_frame(r#"{"cores":[[1,1]]}"#))).clone();
         assert_eq!(core.get("warm").and_then(Json::as_bool), Some(true));
         let tags = core.get("cache").unwrap();
-        assert_eq!(tags.get("skeleton").and_then(Json::as_str), Some("hit"));
+        assert_eq!(tags.get("lattice").and_then(Json::as_str), Some("hit"));
         assert_eq!(tags.get("route").and_then(Json::as_str), Some("hit"));
+        assert!(tags.get("skeleton").is_none(), "no skeleton is cached");
         let fresh = Service::new(ServeConfig::default());
         let cold = result_of(&fresh.handle(&faulted_frame(r#"{"cores":[[1,1]]}"#))).clone();
         assert_eq!(cold.get("warm").and_then(Json::as_bool), Some(false));
@@ -1645,7 +1546,7 @@ mod tests {
         // harvests), not three.
         assert_eq!(
             svc.cache_stats().misses,
-            4 + 4,
+            2 + 2,
             "two prepared groups, no third probe"
         );
     }
@@ -1702,15 +1603,15 @@ mod tests {
             assert_eq!(r.get("warm").and_then(Json::as_bool), Some(false));
             assert_eq!(
                 spill_field(&svc, "spilled"),
-                Some(3.0),
-                "lattice + skeleton + route spilled write-behind"
+                Some(2.0),
+                "lattice + route spilled write-behind"
             );
             assert_eq!(spill_field(&svc, "errors"), Some(0.0));
             r.get("energy").and_then(Json::as_f64).unwrap()
         };
         // "Restart": a fresh service over the same directory.
         let svc = Service::new(cfg());
-        assert_eq!(spill_field(&svc, "loaded"), Some(3.0));
+        assert_eq!(spill_field(&svc, "loaded"), Some(2.0));
         assert_eq!(spill_field(&svc, "skipped"), Some(0.0));
         let warm = svc.handle(&solve_frame(7));
         let r = warm.get("result").unwrap();
@@ -1727,9 +1628,9 @@ mod tests {
         let stats = svc.cache_stats();
         assert_eq!(
             stats.misses, 0,
-            "zero lattice/skeleton/route misses after a warm restart"
+            "zero lattice/route misses after a warm restart"
         );
-        assert_eq!(stats.hits, 3);
+        assert_eq!(stats.hits, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1743,7 +1644,8 @@ mod tests {
             r.get("cache")
                 .and_then(|c| c.get("entries"))
                 .and_then(Json::as_f64),
-            Some(3.0)
+            Some(2.0),
+            "lattice + route cached"
         );
         assert_eq!(
             r.get("cold")

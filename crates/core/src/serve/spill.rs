@@ -1,17 +1,15 @@
 //! Persistent spill/reload for the artifact cache.
 //!
 //! Artifacts are **deterministic functions of their fingerprints** — a
-//! lattice is determined by the workload that fingerprinted it, a skeleton
-//! by workload × platform × ceiling, a route table by platform × policy —
-//! so a daemon restart does not have to recompute them: `xp serve
-//! --cache-dir DIR` writes every newly inserted artifact behind the
-//! request (write-behind, outside the cache lock) and reloads the
-//! directory on startup, so the first request after a restart is as warm
-//! as the last one before it.
+//! lattice is determined by the workload that fingerprinted it, a route
+//! table by platform × policy — so a daemon restart does not have to
+//! recompute them: `xp serve --cache-dir DIR` writes every newly inserted
+//! artifact behind the request (write-behind, outside the cache lock) and
+//! reloads the directory on startup, so the first request after a restart
+//! is as warm as the last one before it.
 //!
 //! One artifact per file, named after its key (`lattice-<fp>.xpa`,
-//! `skeleton-<fp>-<fp>-<ceiling>.xpa`, `route-<fp>-<policy>.xpa`), laid
-//! out as:
+//! `route-<fp>-<policy>.xpa`), laid out as:
 //!
 //! ```text
 //! +--------+---------+-----+----------------+---------+----------+
@@ -32,6 +30,11 @@
 //! payload codecs (`IdealLattice::to_bytes` and friends) are frozen per
 //! [`SPILL_VERSION`], and a format change bumps the version, invalidating
 //! — not corrupting — old directories.
+//!
+//! Kind byte `1` stays reserved for the transition-skeleton images older
+//! daemons spilled (`skeleton-*.xpa`). The daemon no longer caches
+//! skeletons, so such a file is skipped on reload, while the lattice and
+//! route files beside it still load under the unchanged envelope version.
 
 use std::fs;
 use std::io;
@@ -44,13 +47,15 @@ use spg::wire;
 
 use super::cache::{Artifact, ArtifactCache, ArtifactKey};
 use super::fingerprint::Fingerprint;
-use crate::dpa1d::TransitionSkeleton;
 use crate::instance::SharedLattice;
 
 /// File magic: identifies an artifact spill file.
 pub const SPILL_MAGIC: [u8; 8] = *b"XPARTIFS";
 /// Envelope version; bumping it invalidates (skips) older spill files.
 pub const SPILL_VERSION: u32 = 1;
+/// Key-kind byte of the retired transition-skeleton artifact: never
+/// written, and rejected on decode (see the module docs).
+const RETIRED_SKELETON_KIND: u8 = 1;
 /// Extension of spill files inside a cache directory.
 pub const SPILL_EXT: &str = "xpa";
 
@@ -59,8 +64,8 @@ pub const SPILL_EXT: &str = "xpa";
 pub struct SpillStats {
     /// Artifacts decoded, validated, and inserted.
     pub loaded: u64,
-    /// Files skipped: corrupt, truncated, checksum-mismatched, or written
-    /// by a different envelope version.
+    /// Files skipped: corrupt, truncated, checksum-mismatched, written by
+    /// a different envelope version, or of a retired artifact kind.
     pub skipped: u64,
 }
 
@@ -69,11 +74,6 @@ pub struct SpillStats {
 pub fn file_name(key: &ArtifactKey) -> String {
     match key {
         ArtifactKey::Lattice { workload } => format!("lattice-{workload:016x}.{SPILL_EXT}"),
-        ArtifactKey::Skeleton {
-            workload,
-            platform,
-            ceiling,
-        } => format!("skeleton-{workload:016x}-{platform:016x}-{ceiling:016x}.{SPILL_EXT}"),
         ArtifactKey::Route { platform, policy } => {
             format!("route-{platform:016x}-{policy:02x}.{SPILL_EXT}")
         }
@@ -85,7 +85,6 @@ pub fn file_name(key: &ArtifactKey) -> String {
 pub fn encode(key: &ArtifactKey, artifact: &Artifact) -> Vec<u8> {
     let payload = match artifact {
         Artifact::Lattice(l) => l.to_bytes(),
-        Artifact::Skeleton(s) => s.to_bytes(),
         Artifact::Route(r) => r.to_bytes(),
     };
     let mut out = Vec::with_capacity(payload.len() + 64);
@@ -95,16 +94,6 @@ pub fn encode(key: &ArtifactKey, artifact: &Artifact) -> Vec<u8> {
         ArtifactKey::Lattice { workload } => {
             out.push(0);
             wire::put_u64(&mut out, workload);
-        }
-        ArtifactKey::Skeleton {
-            workload,
-            platform,
-            ceiling,
-        } => {
-            out.push(1);
-            wire::put_u64(&mut out, workload);
-            wire::put_u64(&mut out, platform);
-            wire::put_u64(&mut out, ceiling);
         }
         ArtifactKey::Route { platform, policy } => {
             out.push(2);
@@ -146,11 +135,9 @@ pub fn decode(bytes: &[u8]) -> Result<(ArtifactKey, Artifact), String> {
         0 => ArtifactKey::Lattice {
             workload: wire::get_u64(body, &mut pos)?,
         },
-        1 => ArtifactKey::Skeleton {
-            workload: wire::get_u64(body, &mut pos)?,
-            platform: wire::get_u64(body, &mut pos)?,
-            ceiling: wire::get_u64(body, &mut pos)?,
-        },
+        RETIRED_SKELETON_KIND => {
+            return Err("transition-skeleton artifact (no longer cached)".into())
+        }
         2 => ArtifactKey::Route {
             platform: wire::get_u64(body, &mut pos)?,
             policy: wire::take(body, &mut pos, 1)?[0],
@@ -165,9 +152,6 @@ pub fn decode(bytes: &[u8]) -> Result<(ArtifactKey, Artifact), String> {
     let artifact = match key {
         ArtifactKey::Lattice { .. } => {
             Artifact::Lattice(Arc::new(SharedLattice::from_bytes(payload)?))
-        }
-        ArtifactKey::Skeleton { .. } => {
-            Artifact::Skeleton(Arc::new(TransitionSkeleton::from_bytes(payload)?))
         }
         ArtifactKey::Route { .. } => Artifact::Route(Arc::new(RouteTable::from_bytes(payload)?)),
     };
@@ -246,18 +230,6 @@ mod tests {
                 Artifact::Lattice(inst.lattice(10_000).unwrap()),
             ),
             (
-                ArtifactKey::Skeleton {
-                    workload: 0xabc,
-                    platform: 0xdef,
-                    ceiling: f64::INFINITY.to_bits(),
-                },
-                Artifact::Skeleton(
-                    inst.transition_skeleton(&crate::Dpa1dConfig::default())
-                        .unwrap()
-                        .expect("6-stage chain fits the edge cap"),
-                ),
-            ),
-            (
                 ArtifactKey::Route {
                     platform: 0xdef,
                     policy: RoutePolicy::Snake.index() as u8,
@@ -316,9 +288,9 @@ mod tests {
         fs::write(dir.join("README.txt"), b"ignored entirely").unwrap();
         let mut cache = ArtifactCache::new(usize::MAX);
         let stats = load_dir(&dir, &mut cache);
-        assert_eq!(stats.loaded, 3);
+        assert_eq!(stats.loaded, 2);
         assert_eq!(stats.skipped, 1);
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.len(), 2);
         for (key, _) in &arts {
             assert!(cache.contains(key), "missing {key}");
         }
@@ -328,5 +300,54 @@ mod tests {
         // A missing directory loads nothing and is not an error.
         let _ = fs::remove_dir_all(&dir);
         assert_eq!(load_dir(&dir, &mut cache), SpillStats::default());
+    }
+
+    /// A skeleton image as an older daemon spilled it: a valid envelope
+    /// (magic, this version, kind 1, workload/platform/ceiling key) with a
+    /// correct checksum. Reload skips it and still loads its neighbours.
+    #[test]
+    fn retired_skeleton_images_are_skipped_on_reload() {
+        let mut image = Vec::new();
+        image.extend_from_slice(&SPILL_MAGIC);
+        wire::put_u32(&mut image, SPILL_VERSION);
+        image.push(RETIRED_SKELETON_KIND);
+        wire::put_u64(&mut image, 0xabc);
+        wire::put_u64(&mut image, 0xdef);
+        wire::put_u64(&mut image, f64::INFINITY.to_bits());
+        let payload = [7u8; 24];
+        wire::put_u64(&mut image, payload.len() as u64);
+        image.extend_from_slice(&payload);
+        let sum = Fingerprint::new().bytes(&image).finish();
+        wire::put_u64(&mut image, sum);
+        assert!(decode(&image).unwrap_err().contains("no longer cached"));
+
+        let dir = std::env::temp_dir().join(format!("xp-spill-retired-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let name = format!(
+            "skeleton-{:016x}-{:016x}-{:016x}.{SPILL_EXT}",
+            0xabc,
+            0xdef,
+            f64::INFINITY.to_bits()
+        );
+        fs::write(dir.join(name), &image).unwrap();
+        let arts = artifacts();
+        for (key, artifact) in &arts {
+            spill(&dir, key, artifact).unwrap();
+        }
+        let mut cache = ArtifactCache::new(usize::MAX);
+        let stats = load_dir(&dir, &mut cache);
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(
+            stats,
+            SpillStats {
+                loaded: 2,
+                skipped: 1
+            }
+        );
+        assert_eq!(cache.len(), 2);
+        for (key, _) in &arts {
+            assert!(cache.contains(key), "missing {key}");
+        }
     }
 }

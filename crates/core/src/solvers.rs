@@ -142,10 +142,14 @@ impl Solver for Dpa1d {
         let shared = inst
             .lattice(self.cfg.ideal_cap)
             .map_err(|e| crate::dpa1d::lattice_failure(&e))?;
-        // The period-independent transition skeleton, when one serving
-        // this period fits the edge cap; `None` runs the fresh per-period
-        // walk inside `dpa1d_run`.
-        let skeleton = inst.transition_skeleton(&self.cfg)?;
+        // Only a multi-point period sweep amortises the transition
+        // skeleton (when it fits the edge cap); every other solve, and an
+        // over-cap sweep, runs the fresh per-period walk in `dpa1d_run`.
+        let skeleton = if inst.in_sweep() {
+            inst.transition_skeleton(&self.cfg)?
+        } else {
+            None
+        };
         let table = inst.route_table(RoutePolicy::Snake);
         crate::dpa1d::dpa1d_run(
             inst.spg(),

@@ -7,7 +7,11 @@
 //! sweep point shares the instance's period-independent caches via
 //! [`Instance::with_period`]: the interned ideal lattice, `DPA1D`'s
 //! [`crate::TransitionSkeleton`], and the route tables are built once for
-//! the whole curve instead of once per point. Sweep points fan out over
+//! the whole curve instead of once per point. The skeleton is the one
+//! artifact only a sweep builds: a sweep over two or more points marks its
+//! instance, and `DPA1D` builds the skeleton only on a marked instance —
+//! one admission pass per point then repays the build, where a one-shot
+//! solve is faster on the fresh per-period walk. Sweep points fan out over
 //! the rayon pool; within a point the solvers run sequentially, so
 //! per-point outcomes are deterministic in `(instance, solvers, seed)` and
 //! bit-identical to a fresh [`Instance::new`] solve at that period (the
@@ -136,19 +140,11 @@ impl PeriodSweep {
                 SweepAxis::Utilisation => (v, base.utilisation_period(v)),
             })
             .collect();
-        // Announce the grid's loosest period before fanning out: the first
-        // `DPA1D` bounded-skeleton build then targets a work ceiling that
-        // serves *every* point of the sweep (see
-        // [`Instance::note_period_ceiling`]), instead of the first-solved
-        // point's — which under the rayon fan-out would be an arbitrary
-        // (though result-identical) choice.
-        if let Some(loosest) = resolved
-            .iter()
-            .map(|&(_, t)| t)
-            .max_by(f64::total_cmp)
-            .filter(|t| t.is_finite())
-        {
-            base.note_period_ceiling(loosest);
+        // Two or more points amortise `DPA1D`'s transition skeleton: mark
+        // the shared derived state so every point's solve builds (once) and
+        // scans it instead of re-walking the lattice.
+        if resolved.len() >= 2 {
+            base.mark_sweep();
         }
         let portfolio = Portfolio::new(self.solvers.clone())
             .seeded(self.seed)

@@ -126,9 +126,10 @@
 //! 0.4 makes the whole curve one call. A [`prelude::PeriodSweep`] runs a
 //! solver list over a geometric or explicit grid of periods (or platform
 //! utilisations) against **one** instance, so the period-independent
-//! caches — most importantly `DPA1D`'s interned lattice and its
-//! transition skeleton — are built once for the whole curve, and sweep
-//! points fan out over the rayon pool:
+//! caches — most importantly `DPA1D`'s interned lattice and, for a grid
+//! of two or more points, its transition skeleton — are built once for the
+//! whole curve, and sweep points fan out over the rayon pool (a one-shot
+//! solve never builds the skeleton; it runs the fresh per-period walk):
 //!
 //! ```
 //! use spg_cmp::prelude::*;
@@ -159,11 +160,11 @@
 //! over the DP rows that skips transitions no optimal completion can
 //! extend, with ties kept so energies stay bit-identical to the complete
 //! relaxation. When a workload's complete transition system overflows the
-//! edge cap, the solver now builds a **work-ceiling skeleton** — bounded
-//! by the loosest period of the sweep — and streams the rest, so the cap
-//! is a soundness-preserving bound instead of a hard `TooExpensive`
-//! failure; `Dpa1dConfig::frontier_cap` optionally truncates frontiers
-//! and then certifies the result via [`prelude::Solution`]`::bound_gap`.
+//! edge cap, a sweep skips the skeleton and runs the **fresh per-period
+//! walk** at every point, which stores no transitions, so the cap is a
+//! soundness-preserving bound instead of a hard `TooExpensive` failure;
+//! `Dpa1dConfig::frontier_cap` optionally truncates frontiers and then
+//! certifies the result via [`prelude::Solution`]`::bound_gap`.
 //!
 //! ## Solve-as-a-service
 //!
@@ -235,7 +236,7 @@
 //! un-budgeted `Greedy` rescue and certifies its energy against
 //! [`prelude::Instance::energy_lower_bound`], so
 //! `E_anytime − bound_gap ≤ E_opt ≤ E_anytime`. The serve daemon keys
-//! its cache fault-aware (skeletons strip all faults, routes strip core
+//! its cache fault-aware (lattices ignore the platform, routes strip core
 //! faults), so a warm daemon stays warm across faults; `xp sweep
 //! --suite incremental` measures remap-vs-cold latency over a seeded
 //! StreamIt fault campaign and gates the ≥2× median speedup in

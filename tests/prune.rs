@@ -6,8 +6,9 @@
 //!
 //! * dominance on/off produce bit-identical energies across the full
 //!   StreamIt suite wherever the complete mode succeeds at all;
-//! * a bounded skeleton built under the sweep's loosest period serves
-//!   every tighter point with outcomes identical to from-scratch solves;
+//! * a sweep whose complete transition system overflows the edge cap runs
+//!   the fresh walk at every point, with outcomes identical to
+//!   from-scratch solves;
 //! * a `frontier_cap`-truncated solve brackets the true optimum within
 //!   its certified `bound_gap` instead of failing;
 //! * the workloads whose complete transition systems overflow the 1M
@@ -97,12 +98,11 @@ fn dominance_is_invisible_across_streamit() {
 }
 
 #[test]
-fn bounded_skeleton_matches_from_scratch_at_every_point() {
+fn over_cap_sweep_matches_from_scratch_at_every_point() {
     // The huge workload's complete transition system overflows the edge
-    // cap, so the shared sweep instance runs on a bounded skeleton built
-    // under the loosest period. Every point must still match a fresh
-    // single-period instance bit for bit — outcome, energy, and prune
-    // telemetry alike.
+    // cap, so the sweep builds no skeleton and every point takes the
+    // fresh walk. Every point must still match a fresh single-period
+    // instance bit for bit — outcome, energy, and prune telemetry alike.
     let (name, g) = huge_workload(SEED);
     let pf = Platform::paper(4, 4);
     let hi = anchor(&g);
@@ -114,6 +114,10 @@ fn bounded_skeleton_matches_from_scratch_at_every_point() {
         .seeded(SEED)
         .parallel(false)
         .run(&base);
+    assert!(
+        base.lattice(Dpa1dConfig::default().ideal_cap).is_ok() && base.cached_skeleton().is_none(),
+        "{name}: the complete build must overflow the edge cap"
+    );
 
     for (point, &t) in report.points.iter().zip(&grid) {
         let fresh = Instance::new(g.clone(), pf.clone(), t);

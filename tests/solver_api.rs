@@ -3,6 +3,8 @@
 //! modes, registry round-trips, and equivalence of `DPA1D`'s skeleton
 //! path and fresh per-period walk on the StreamIt suite.
 
+use std::sync::Arc;
+
 use spg::{streamit_workflow, STREAMIT_SPECS};
 use spg_cmp::prelude::*;
 
@@ -79,40 +81,38 @@ fn registry_roundtrip() {
 }
 
 /// `DPA1D`'s two transition producers agree on the StreamIt suite: the
-/// cached-skeleton path and the fresh per-period walk return the same
-/// energy to the bit (and the same dominance telemetry), or the same
-/// failure. The fresh walk is forced by `edge_cap: 1` on a *separate*
-/// instance: `transition_skeleton` hands back any cached skeleton whatever
-/// the cap, so one shared instance would solve both legs off it.
+/// skeleton path and the fresh per-period walk return the same energy to
+/// the bit (and the same dominance telemetry), or the same failure. The
+/// skeleton leg solves inside a 2-point sweep, which marks its instance so
+/// `DPA1D` builds and scans the skeleton; the fresh leg is a one-shot
+/// solve on a separate instance, which never builds one.
 #[test]
 fn dpa1d_skeleton_path_equals_fresh_walk_on_streamit() {
     let pf = Platform::paper(4, 4);
-    let skeleton = solvers::Dpa1d::default();
-    let walk = solvers::Dpa1d {
-        cfg: Dpa1dConfig {
-            edge_cap: 1,
-            ..Default::default()
-        },
-    };
+    let dpa1d = solvers::Dpa1d::default();
     let mut compared = 0usize;
+    let mut swept_on_skeleton = 0usize;
     // A mix of low-elevation (DPA1D-tractable) and high-elevation
     // (DPA1D-failing) workflows.
     for idx in [1usize, 6, 7, 8, 9, 12] {
         let spec = &STREAMIT_SPECS[idx - 1];
         let g = streamit_workflow(spec, 2011);
         let t = period_for(&g);
-        let cached = Instance::new(g.clone(), pf.clone(), t);
-        let fresh = Instance::new(g, pf.clone(), t);
-        let ctx = SolveCtx::new(2011);
-        let a = skeleton.solve(&cached, &ctx);
-        let b = walk.solve(&fresh, &ctx);
-        if let Ok(Some(_)) = cached.transition_skeleton(&skeleton.cfg) {
-            assert!(
-                fresh.transition_skeleton(&walk.cfg).unwrap().is_none(),
-                "{}: edge_cap 1 must leave no skeleton to serve",
-                spec.name
-            );
+        let swept = Instance::new(g.clone(), pf.clone(), t);
+        let mut report = PeriodSweep::over_periods(vec![Arc::new(dpa1d.clone())], vec![t, t])
+            .seeded(2011)
+            .run(&swept);
+        let a = report.points.swap_remove(0).runs.swap_remove(0).result;
+        if swept.cached_skeleton().is_some() {
+            swept_on_skeleton += 1;
         }
+        let fresh = Instance::new(g, pf.clone(), t);
+        let b = dpa1d.solve(&fresh, &SolveCtx::new(2011));
+        assert!(
+            fresh.cached_skeleton().is_none(),
+            "{}: a one-shot solve must take the fresh walk",
+            spec.name
+        );
         match (a, b) {
             (Ok(x), Ok(y)) => {
                 assert_eq!(
@@ -134,6 +134,7 @@ fn dpa1d_skeleton_path_equals_fresh_walk_on_streamit() {
         }
     }
     assert!(compared >= 2, "the suite must exercise both producers");
+    assert!(swept_on_skeleton >= 2, "the sweep leg must build skeletons");
 }
 
 /// The probed instance reuses its caches and the portfolio wins with a

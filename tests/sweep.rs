@@ -7,7 +7,9 @@
 //!
 //! * every sweep point's per-solver energies equal a fresh
 //!   [`Instance::new`] portfolio solve at that period, to the last bit;
-//! * `with_period` re-targets share one skeleton (`Arc::ptr_eq`);
+//! * `with_period` re-targets share one skeleton (`Arc::ptr_eq`), and only
+//!   a sweep over two or more points builds it — one-shot solves take the
+//!   fresh walk;
 //! * admission is order-independent: descending and ascending period
 //!   grids produce identical per-point outcomes.
 
@@ -87,6 +89,37 @@ fn skeleton_is_shared_across_with_period_retargets() {
     };
     let c = inst.transition_skeleton(&larger).unwrap().unwrap();
     assert!(Arc::ptr_eq(&a, &c));
+}
+
+#[test]
+fn only_multi_point_sweeps_build_the_skeleton() {
+    let spec = STREAMIT_SPECS.iter().find(|s| s.name == "DES").unwrap();
+    let g = streamit_workflow(spec, SEED);
+    let hi = 2.0 * g.total_work() / (8.0 * 1e9);
+    let solvers = default_heuristics();
+    // One-shot solves take the fresh walk: no skeleton, also not on a
+    // 1-point sweep.
+    let one_shot = Instance::new(g.clone(), Platform::paper(4, 4), hi);
+    let report = Portfolio::new(solvers.clone()).seeded(SEED).run(&one_shot);
+    assert!(report
+        .runs
+        .iter()
+        .any(|r| r.name == "DPA1D" && r.result.is_ok()));
+    PeriodSweep::over_periods(solvers.clone(), vec![hi / 2.0])
+        .seeded(SEED)
+        .run(&one_shot);
+    assert!(one_shot.cached_skeleton().is_none());
+    // A multi-point sweep builds one skeleton, shared by all its points.
+    let grid = PeriodSweep::geometric(hi, hi / 10.0, 4);
+    let base = Instance::new(g, Platform::paper(4, 4), hi);
+    PeriodSweep::over_periods(solvers, grid.clone())
+        .seeded(SEED)
+        .run(&base);
+    let sk = base.cached_skeleton().expect("the sweep built a skeleton");
+    for &t in &grid {
+        let point = base.with_period(t).cached_skeleton().unwrap();
+        assert!(Arc::ptr_eq(&sk, &point), "points share one skeleton");
+    }
 }
 
 #[test]
